@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import catalog, config, ensembles, reduction, spectral
+from . import catalog, ensembles, reduction, spectral
 from . import io as io_mod
 from .errors import (
     ArgumentError,
@@ -71,14 +71,9 @@ def _emit(args, payload: dict, text_lines) -> None:
 def cmd_solve(args) -> int:
     instance = _load_instance(args.path)
     verdict = spectral.decide_sat(instance, method=args.method)
-    result_method = args.method
-    if result_method == "auto":
-        result_method = (
-            "dense" if instance.num_qubits <= config.DENSE_CUTOFF else "krylov"
-        )
     m = instance.num_terms
     payload = {
-        "method": result_method,
+        "method": verdict.method,
         "lambda0": verdict.lambda0,
         "e0": verdict.lambda0 / m if m else 0.0,
         "nullspace_dim": verdict.nullspace_dim,

@@ -4,13 +4,28 @@ import os
 
 DEFAULT_MAX_QUBITS = 20
 
-# Largest instance solved by dense eigendecomposition (16384 x 16384 at 14
-# qubits); beyond this the matrix-free Krylov path takes over.
-DENSE_CUTOFF = 14
+# Largest instance that method="auto" (ground_energy, decide_sat, assemble)
+# solves by dense eigendecomposition; beyond it the matrix-free Krylov path
+# takes over.  Measured crossover (qsatbench small_dense and large_krylov
+# instances, one OpenBLAS thread, 2-core x86 host): at n = 9 dense wins,
+# 0.07-0.09 s against 0.14-0.16 s for Krylov; at n = 10 Krylov wins on a
+# planted m = 15 instance, 0.09-0.20 s against 0.42-0.61 s, and ties (about
+# 0.58 s) near frustration-freeness; at n = 11 Krylov wins 10-50x,
+# 0.08-0.39 s against 3.6-4.9 s.
+DENSE_CUTOFF = 9
 
-# decide_sat double-checks its verdict against the null-space oracle below
-# this size; the check needs a 2^n x 2^n working basis, so it stops well
-# before DENSE_CUTOFF.
+# Largest register any dense routine accepts: forced method="dense",
+# assemble_dense, the null-space intersection and verify_reduction.
+# Computed, not run: at 13 qubits the 8192 x 8192 complex matrix is 1 GiB
+# and about 3 GiB with eigh's working copy; at 14 it would be 4 GiB plus a
+# copy, more than an 8 GiB machine holds.
+DENSE_MAX_QUBITS = 13
+
+# decide_sat double-checks its verdict against the null-space oracle up to
+# this size.  The oracle keeps a 2^n-row basis and takes one SVD of a
+# 2^(n-k)-row constraint per rank-1 term: on the qsatbench small_dense
+# instances, one thread, 0.01-0.04 s at n = 8 and 0.8-0.9 s at n = 10
+# (m = 15, k = 2), where the SVD of the 2^n-row image took 6.4-8.2 s.
 NULLSPACE_CROSSCHECK_CUTOFF = 10
 
 NORM_TOL = 1e-10          # | ||amplitudes|| - 1 |

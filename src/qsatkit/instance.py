@@ -280,6 +280,8 @@ def _term_violations(term, num_qubits, max_support):
             msgs.append(
                 f"amplitudes must have length {dim}, got {term.amplitudes.shape}"
             )
+        elif not np.all(np.isfinite(term.amplitudes)):
+            msgs.append("amplitudes contain non-finite values")
         else:
             norm = np.linalg.norm(term.amplitudes)
             if abs(norm - 1.0) > config.NORM_TOL:
@@ -287,6 +289,8 @@ def _term_violations(term, num_qubits, max_support):
     elif isinstance(term, GeneralTerm):
         if term.matrix.shape != (dim, dim):
             msgs.append(f"matrix must be {dim}x{dim}, got {term.matrix.shape}")
+        elif not np.all(np.isfinite(term.matrix)):
+            msgs.append("matrix contains non-finite values")
         else:
             m = term.matrix
             if np.max(np.abs(m - m.conj().T)) > config.HERMITICITY_TOL:

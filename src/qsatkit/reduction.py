@@ -462,7 +462,8 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     Checks: every term leaves each dummy in a Z eigenstate; the output's
     ground energy matches the input's below the penalty and stays above it
     otherwise; the maximum degree respects the accounting bound.  The
-    spectral items need both instances within the dense range.
+    spectral items need both instances within ``config.DENSE_MAX_QUBITS``;
+    their ground energies take the ``auto`` route.
     """
     require_valid(q)
     t = out.t_instance
@@ -478,9 +479,9 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     delta_r = degree_profile(out.gadget.source.core.core).max_degree
     degree_bound = max(delta_q, delta_r + 1, 3)
     degree_ok = delta_t <= degree_bound
-    if max(q.num_qubits, t.num_qubits) > config.DENSE_CUTOFF:
+    if max(q.num_qubits, t.num_qubits) > config.DENSE_MAX_QUBITS:
         raise CapacityError(
-            f"energy verification needs at most {config.DENSE_CUTOFF} qubits, "
+            f"energy verification needs at most {config.DENSE_MAX_QUBITS} qubits, "
             f"got {t.num_qubits}"
         )
     base = ground_energy(q).lambda0

@@ -11,6 +11,10 @@ Two independent solver routes back every claim in the library:
 A third mechanism, singular-value-based null-space intersection, decides
 satisfiability without any eigensolve and is used to cross-check verdicts
 on small instances.
+
+``method="auto"`` takes the dense route up to ``config.DENSE_CUTOFF`` qubits
+and Krylov beyond; no dense routine accepts more than
+``config.DENSE_MAX_QUBITS`` qubits.
 """
 
 from dataclasses import dataclass
@@ -49,6 +53,7 @@ class SatVerdict:
     tag: str  # SATISFIABLE | UNSATISFIABLE | INDETERMINATE
     lambda0: float
     nullspace_dim: int | None = None
+    method: str | None = None  # the ground-energy route that ran
 
 
 def sat_tolerance(num_terms: int) -> float:
@@ -66,9 +71,9 @@ def assemble_dense(instance: QsatInstance) -> np.ndarray:
     """
     require_valid(instance)
     n = instance.num_qubits
-    if n > config.DENSE_CUTOFF:
+    if n > config.DENSE_MAX_QUBITS:
         raise CapacityError(
-            f"dense assembly is limited to {config.DENSE_CUTOFF} qubits, got {n}"
+            f"dense assembly is limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
         )
     dim = 1 << n
     q = np.zeros((dim, dim), dtype=np.complex128)
@@ -88,8 +93,8 @@ def assemble_dense(instance: QsatInstance) -> np.ndarray:
 
 
 def assemble(instance: QsatInstance):
-    """The instance operator: a dense array when small enough, otherwise a
-    matrix-free linear operator applying the embedded terms."""
+    """The instance operator: a dense array up to the dense cutoff,
+    otherwise a matrix-free linear operator applying the embedded terms."""
     require_valid(instance)
     n = instance.num_qubits
     if n > config.max_qubits():
@@ -171,8 +176,10 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
     """The minimum eigenvalue of the instance operator with its eigenvector.
 
     ``method``: "auto" picks dense up to the dense cutoff and the Krylov
-    iteration beyond; "dense"/"krylov" force a route.  Instances with no
-    terms short-circuit to energy 0 on the all-zeros basis state.
+    iteration beyond; "dense"/"krylov" force a route, and "dense" refuses
+    registers above ``config.DENSE_MAX_QUBITS`` before allocating.
+    Instances with no terms short-circuit to energy 0 on the all-zeros basis
+    state.
     """
     require_valid(instance)
     n = instance.num_qubits
@@ -205,46 +212,77 @@ def full_spectrum(instance: QsatInstance) -> np.ndarray:
     return np.linalg.eigvalsh(assemble_dense(instance))
 
 
+def _null_directions(matrix: np.ndarray) -> np.ndarray:
+    """Right singular vectors of ``matrix`` whose singular values count as
+    zero, as orthonormal columns."""
+    _, sing, vh = np.linalg.svd(matrix, full_matrices=True)
+    cut = int(np.count_nonzero(sing > config.SINGULAR_VALUE_TOL))
+    return vh[cut:].conj().T
+
+
+def _term_kernel(num_qubits: int, term) -> np.ndarray:
+    """Orthonormal columns spanning the null space of one term on the
+    register: its null space on the support (of <v| for a rank-1 term, of
+    its matrix otherwise) times the identity on the remaining qubits."""
+    if isinstance(term, RankOneTerm):
+        local = np.asarray(term.amplitudes).conj()[None, :]
+    else:
+        local = np.asarray(term.matrix)
+    kernel = np.kron(_null_directions(local), np.eye(1 << (num_qubits - term.k)))
+    # kron orders the rows as (support bits, remaining bits); restore the
+    # register's qubit order.
+    order = list(term.support) + [q for q in range(num_qubits) if q not in term.support]
+    kernel = np.moveaxis(kernel.reshape((2,) * num_qubits + (-1,)), range(num_qubits), order)
+    return kernel.reshape(1 << num_qubits, -1)
+
+
+def _common_nullspace_basis(instance: QsatInstance) -> np.ndarray:
+    """Orthonormal columns spanning the intersection of the terms' null spaces.
+
+    The basis B starts as the first term's null space.  Each further term's
+    action on B is factored by singular values, and directions with
+    singular value above the zero threshold are cut.  A rank-1 term |v><v|
+    acts through the 2^(n-k)-row constraint (<v| (x) I) B, one contraction
+    over its support axes; since |v> (x) I is an isometry, the constraint
+    has the singular values of the 2^n-row image (|v><v| (x) I) B.  A
+    general term acts through its image.  B times the kept right singular
+    vectors is again orthonormal, so no re-orthonormalization is needed.
+    """
+    n = instance.num_qubits
+    if not instance.terms:
+        return np.eye(1 << n, dtype=np.complex128)
+    basis = _term_kernel(n, instance.terms[0])
+    for term in instance.terms[1:]:
+        width = basis.shape[1]
+        if width == 0:
+            break
+        if isinstance(term, RankOneTerm):
+            bra = np.asarray(term.amplitudes).conj().reshape((2,) * term.k)
+            tensor = basis.reshape((2,) * n + (width,))
+            action = np.tensordot(bra, tensor, axes=(range(term.k), term.support))
+        else:
+            action = np.zeros_like(basis)
+            _kernels_py.apply_general(
+                action, basis, n, term.support, np.asarray(term.matrix)
+            )
+        basis = basis @ _null_directions(action.reshape(-1, width))
+    return basis
+
+
 def common_nullspace_dim(instance: QsatInstance) -> int:
     """Dimension of the intersection of the terms' null spaces.
 
-    Starting from the full space, each term's action on the current basis is
-    factored by singular values; directions with singular value above the
-    zero threshold are cut, and the basis is re-orthonormalized.  No
-    eigensolver is involved, which makes this an independent check on
+    No eigensolver is involved, which makes this an independent check on
     ground_energy.
     """
     require_valid(instance)
     n = instance.num_qubits
-    if n > config.DENSE_CUTOFF:
+    if n > config.DENSE_MAX_QUBITS:
         raise CapacityError(
-            f"null-space intersection is limited to {config.DENSE_CUTOFF} qubits; "
+            f"null-space intersection is limited to {config.DENSE_MAX_QUBITS} qubits; "
             "use ground_energy for larger instances"
         )
-    dim = 1 << n
-    basis = np.eye(dim, dtype=np.complex128)
-    for term in instance.terms:
-        if basis.shape[1] == 0:
-            break
-        image = np.zeros_like(basis)
-        if isinstance(term, RankOneTerm):
-            _kernels_py.apply_rank_one(
-                image, basis, n, term.support, np.asarray(term.amplitudes)
-            )
-        else:
-            _kernels_py.apply_general(
-                image, basis, n, term.support, np.asarray(term.matrix)
-            )
-        _, sing, vh = np.linalg.svd(image, full_matrices=True)
-        width = basis.shape[1]
-        keep = [
-            i for i in range(width)
-            if i >= len(sing) or sing[i] <= config.SINGULAR_VALUE_TOL
-        ]
-        basis = basis @ vh[keep].conj().T
-        if basis.shape[1]:
-            basis, _ = np.linalg.qr(basis)
-    return basis.shape[1]
+    return _common_nullspace_basis(instance).shape[1]
 
 
 def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
@@ -271,7 +309,7 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
             tag = INDETERMINATE
         elif tag == UNSATISFIABLE and nullspace_dim > 0:
             tag = INDETERMINATE
-    return SatVerdict(tag, lam, nullspace_dim)
+    return SatVerdict(tag, lam, nullspace_dim, result.method)
 
 
 def _as_matrix(operand) -> np.ndarray:

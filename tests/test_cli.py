@@ -62,6 +62,31 @@ class TestSolve:
         assert payload["method"] == "krylov"
         assert payload["lambda0"] == pytest.approx(0.21922359359558494, abs=1e-7)
 
+    def test_reports_the_route_that_ran(self, capsys, tmp_path):
+        path = tmp_path / "ten.json"
+        chain = [qk.singlet_term(q, q + 1) for q in range(0, 10, 2)]
+        qk.save_instance(path, qk.QsatInstance(10, chain))
+        code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["method"] == "krylov"
+        code, out, _ = run_cli(capsys, "solve", "builtin:figure-a", "--json")
+        assert code == 0
+        assert json.loads(out)["method"] == "dense"
+
+    def test_nan_amplitude_file_is_a_usage_error(self, capsys, tmp_path):
+        # JSON parsers accept the NaN literal, so validation must catch it
+        # before any solver sees it; main() returning means no traceback.
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"format_version": 1, "num_qubits": 2, "epsilon": 1.0, "projectors": '
+            '[{"qubits": [0, 1], "amplitudes": '
+            '[[NaN, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}]}\n'
+        )
+        code, out, err = run_cli(capsys, "solve", str(path), "--json")
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
     def test_krylov_method_on_single_qubit_file(self, capsys, tmp_path):
         path = tmp_path / "blocked.json"
         qk.save_instance(

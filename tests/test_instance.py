@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,21 @@ class TestValidate:
         report = qk.validate(inst)
         assert any("projector" in v.message or "idempotent" in v.message
                    for v in report.violations)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_is_a_violation(self, bad):
+        inst = qk.QsatInstance(2, [qk.RankOneTerm((0, 1), [bad, 1.0, 0.0, 0.0])])
+        report = qk.validate(inst)
+        assert not report.ok
+        assert report.violations[0].term_index == 0
+        assert "non-finite" in report.violations[0].message
+
+    def test_non_finite_matrix_entry_is_a_violation(self):
+        mat = np.diag([1.0, math.nan]).astype(np.complex128)
+        report = qk.validate(qk.QsatInstance(1, [qk.GeneralTerm((0,), mat)]))
+        assert [v.message for v in report.violations] == [
+            "matrix contains non-finite values"
+        ]
 
     def test_instance_level_violations(self):
         report = qk.validate(qk.QsatInstance(0, []))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,16 +14,49 @@ from scipy.sparse.linalg import LinearOperator
 import qsatkit as qk
 
 from conftest import (
+    embed_matrix,
     near_identity_pair,
     oracle_lambda0,
     oracle_matrix,
     random_instance,
 )
+from qsatkit.spectral import _common_nullspace_basis
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
 # independent 8x8 eigendecomposition; agrees with (5 - sqrt(17)) / 4.
 TRIANGLE_LAMBDA0 = 0.21922359359558494
 TRIANGLE_TOP = (5 + math.sqrt(17)) / 4
+
+
+def _singlet_chain(num_qubits):
+    return qk.QsatInstance(
+        num_qubits, [qk.singlet_term(q, q + 1) for q in range(num_qubits - 1)]
+    )
+
+
+@st.composite
+def mixed_instances(draw):
+    """Rank-1 and general projectors on supports of any size and qubit
+    order, with repeated terms, down to the empty instance."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 1 << 30))))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["rank-one", "general", "repeat"]))
+        if kind == "repeat" and terms:
+            terms.append(terms[draw(st.integers(0, len(terms) - 1))])
+            continue
+        k = draw(st.integers(1, n))
+        support = tuple(draw(st.permutations(range(n)))[:k])
+        if kind == "general":
+            rank = draw(st.integers(1, 1 << k))
+            cols = rng.standard_normal((1 << k, rank)) + 1j * rng.standard_normal((1 << k, rank))
+            q, _ = np.linalg.qr(cols)
+            proj = q @ q.conj().T
+            terms.append(qk.GeneralTerm(support, (proj + proj.conj().T) / 2))
+        else:
+            terms.append(qk.haar_random_term(support, rng))
+    return qk.QsatInstance(n, terms)
 
 
 class TestAssemble:
@@ -67,6 +101,27 @@ class TestAssemble:
         inst = qk.QsatInstance(4, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.CapacityError):
             qk.assemble(inst)
+
+    def test_auto_switches_to_matrix_free_above_the_dense_cutoff(self):
+        cutoff = qk.config.DENSE_CUTOFF
+        assert isinstance(qk.assemble(_singlet_chain(cutoff)), np.ndarray)
+        assert isinstance(qk.assemble(_singlet_chain(cutoff + 1)), LinearOperator)
+
+    def test_dense_routines_refuse_before_allocating(self):
+        # 14 qubits would need a 4 GiB matrix plus eigh's copy.
+        inst = _singlet_chain(qk.config.DENSE_MAX_QUBITS + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(qk.CapacityError):
+                qk.ground_energy(inst, method="dense")
+            with pytest.raises(qk.CapacityError):
+                qk.assemble_dense(inst)
+            with pytest.raises(qk.CapacityError):
+                qk.common_nullspace_dim(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGroundEnergy:
@@ -131,6 +186,13 @@ class TestGroundEnergy:
         bigger = qk.QsatInstance(4, list(inst.terms) + [extra])
         assert (qk.ground_energy(bigger).lambda0
                 >= qk.ground_energy(inst).lambda0 - 1e-9)
+
+    def test_auto_route_follows_the_dense_cutoff(self):
+        cutoff = qk.config.DENSE_CUTOFF
+        assert qk.ground_energy(_singlet_chain(cutoff)).method == "dense"
+        above = qk.ground_energy(_singlet_chain(cutoff + 1))
+        assert above.method == "krylov"
+        assert above.lambda0 <= 1e-9
 
     def test_dense_and_krylov_agree(self):
         rng = np.random.Generator(np.random.Philox(key=42))
@@ -197,6 +259,19 @@ class TestNullspace:
         dim = qk.common_nullspace_dim(inst)
         lam = qk.ground_energy(inst).lambda0
         assert (dim >= 1) == (lam <= 1e-9)
+
+    @given(mixed_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_basis_spans_the_oracle_kernel(self, inst):
+        basis = _common_nullspace_basis(inst)
+        eigenvalues = np.linalg.eigvalsh(oracle_matrix(inst))
+        assert basis.shape[1] == int(np.count_nonzero(eigenvalues <= 1e-9))
+        assert qk.common_nullspace_dim(inst) == basis.shape[1]
+        gram = basis.conj().T @ basis
+        assert np.abs(gram - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-12
+        for term in inst.terms:
+            embedded = embed_matrix(inst.num_qubits, term.support, term.dense())
+            assert np.abs(embedded @ basis).max(initial=0.0) <= 1e-9
 
     def test_capacity_points_to_variational_route(self):
         rng = np.random.Generator(np.random.Philox(key=8))
