@@ -3,12 +3,14 @@
 Exit codes: 0 satisfiable / success, 1 unsatisfiable, 2 indeterminate
 (including solver non-convergence), 3 parse or argument errors, 4 the
 supplied reduction core is satisfiable, 5 a requested verification exceeds
-capacity (the construction file is still written).
+capacity (the construction file is still written), 6 an internal error (any
+other exception, such as a LAPACK routine that did not converge).
 """
 
 import argparse
 import hashlib
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -33,6 +35,7 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 3
 EXIT_SATISFIABLE_CORE = 4
 EXIT_CAPACITY = 5
+EXIT_INTERNAL = 6
 
 DEFAULT_SAMPLE_SEED = 101
 
@@ -361,6 +364,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Not a verdict: keep it off exit codes 0-2 and out of a traceback;
+        # the traceback goes to the qsatkit logger for whoever configures it.
+        logging.getLogger("qsatkit").debug("internal error", exc_info=True)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

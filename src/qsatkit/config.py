@@ -22,10 +22,12 @@ DENSE_CUTOFF = 9
 DENSE_MAX_QUBITS = 13
 
 # decide_sat double-checks its verdict against the null-space oracle up to
-# this size.  The oracle keeps a 2^n-row basis and takes one SVD of a
-# 2^(n-k)-row constraint per rank-1 term: on the qsatbench small_dense
-# instances, one thread, 0.01-0.04 s at n = 8 and 0.8-0.9 s at n = 10
-# (m = 15, k = 2), where the SVD of the 2^n-row image took 6.4-8.2 s.
+# this size.  The oracle keeps its basis on the touched qubits only and takes
+# one SVD per term.  On qsatbench-style instances (k = 2, m = 3n/2 and k = 3,
+# m = 2n; five seeds each; one OpenBLAS thread) it takes 0.5-6.3 ms at
+# n = 8-10, where a 2^n-row basis took 0.6-0.7 s at n = 10 (m = 15, k = 2).
+# Beyond the cutoff, planted instances take 1.9-5.5 ms at n = 11, 2.1-38 ms
+# at n = 12 and 2.6-16 ms at n = 13; frustrated and Haar ones 0.6-11 ms.
 NULLSPACE_CROSSCHECK_CUTOFF = 10
 
 NORM_TOL = 1e-10          # | ||amplitudes|| - 1 |

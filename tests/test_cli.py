@@ -6,10 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qsatkit as qk
-from qsatkit import cli
+from qsatkit import cli, spectral
 
 from conftest import near_identity_pair
 
@@ -86,6 +87,29 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("num_qubits, route", [(3, "dense"), (12, "krylov")])
+    def test_empty_file_reports_the_auto_route(self, capsys, tmp_path, num_qubits, route):
+        path = tmp_path / "empty.json"
+        qk.save_instance(path, qk.QsatInstance(num_qubits, []))
+        code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == route
+        assert payload["lambda0"] == 0.0
+        assert payload["verdict"] == "satisfiable"
+
+    def test_unexpected_error_exits_internal(self, capsys, monkeypatch):
+        def fail(instance):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(spectral, "common_nullspace_dim", fail)
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-a")
+        assert code == cli.EXIT_INTERNAL == 6
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal error: LinAlgError: SVD did not converge"
+        ]
 
     def test_krylov_method_on_single_qubit_file(self, capsys, tmp_path):
         path = tmp_path / "blocked.json"

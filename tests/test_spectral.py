@@ -20,7 +20,7 @@ from conftest import (
     oracle_matrix,
     random_instance,
 )
-from qsatkit.spectral import _common_nullspace_basis
+from qsatkit.spectral import _local_nullspace_basis
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
 # independent 8x8 eigendecomposition; agrees with (5 - sqrt(17)) / 4.
@@ -57,6 +57,17 @@ def mixed_instances(draw):
         else:
             terms.append(qk.haar_random_term(support, rng))
     return qk.QsatInstance(n, terms)
+
+
+def _register_basis(inst):
+    """The local null-space basis L, expanded to L (x) I on the register in
+    the register's qubit order."""
+    local, touched = _local_nullspace_basis(inst)
+    n = inst.num_qubits
+    order = touched + [q for q in range(n) if q not in touched]
+    full = np.kron(local, np.eye(1 << (n - len(touched))))
+    full = np.moveaxis(full.reshape((2,) * n + (-1,)), range(n), order)
+    return full.reshape(1 << n, -1)
 
 
 class TestAssemble:
@@ -263,7 +274,7 @@ class TestNullspace:
     @given(mixed_instances())
     @settings(max_examples=80, deadline=None)
     def test_basis_spans_the_oracle_kernel(self, inst):
-        basis = _common_nullspace_basis(inst)
+        basis = _register_basis(inst)
         eigenvalues = np.linalg.eigvalsh(oracle_matrix(inst))
         assert basis.shape[1] == int(np.count_nonzero(eigenvalues <= 1e-9))
         assert qk.common_nullspace_dim(inst) == basis.shape[1]
@@ -272,6 +283,28 @@ class TestNullspace:
         for term in inst.terms:
             embedded = embed_matrix(inst.num_qubits, term.support, term.dense())
             assert np.abs(embedded @ basis).max(initial=0.0) <= 1e-9
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_term_order_leaves_the_dimension(self, data):
+        inst = data.draw(mixed_instances())
+        shuffled = qk.QsatInstance(inst.num_qubits, data.draw(st.permutations(inst.terms)))
+        assert qk.common_nullspace_dim(shuffled) == qk.common_nullspace_dim(inst)
+
+    def test_untouched_qubits_are_never_materialized(self):
+        # A basis with 2^13 rows would take hundreds of MiB here.
+        rng = np.random.Generator(np.random.Philox(key=13))
+        terms = [qk.haar_random_term(s, rng) for s in ((0, 1), (1, 2), (2, 0))]
+        eigenvalues = np.linalg.eigvalsh(oracle_matrix(qk.QsatInstance(3, terms)))
+        expected = int(np.count_nonzero(eigenvalues <= 1e-9)) << 10
+        tracemalloc.start()
+        try:
+            dim = qk.common_nullspace_dim(qk.QsatInstance(13, terms))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dim == expected
+        assert peak < 1 << 20
 
     def test_capacity_points_to_variational_route(self):
         rng = np.random.Generator(np.random.Philox(key=8))
