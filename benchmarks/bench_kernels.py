@@ -1,12 +1,17 @@
-"""Benchmark the compiled application kernels against the pure-Python path.
+"""Benchmark the compiled C99 kernel against the numpy (pure-Python) kernel.
 
 Both backends implement the same contract (apply the assembled operator of
 an instance to a state vector), so the comparison is a single matvec loop
-per backend on identical inputs.  Typical output on one CPU core::
+per backend on identical inputs.  The compiled backend is timed only when
+``src/qsatkit/_fiber.c`` has been built, for example with
+``python setup.py build_ext --inplace``.  Output on a 2-core x86 host with
+gcc and one OpenBLAS thread::
 
-    qubits  terms  k  backend      best matvec    speedup
-        10     20  3  pure-python    1.52 ms          1.0x
-        10     20  3  compiled       0.11 ms         13.8x
+    qubits  terms   k  backend        best matvec    speedup
+         8     20   3  pure-python       0.570 ms       1.0x
+         8     20   3  compiled          0.070 ms       8.2x
+        10     20   3  pure-python       0.899 ms       1.0x
+        10     20   3  compiled          0.193 ms       4.7x
         ...
 
 Run as ``python benchmarks/bench_kernels.py`` from the repository root.

@@ -1,48 +1,11 @@
 """Build script for the optional compiled kernels.
 
-The package works without the extension (a NumPy fallback is selected at
-import time), so a missing compiler or Cython must not break installation.
+``_fiber.c`` is plain C99 without the Python C-API; ``qsatkit.kernels``
+loads it with ctypes.  The package works without it (the numpy kernel is
+used instead), so ``optional=True`` lets installation go on without a C
+compiler.
 """
 
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class OptionalBuildExt(build_ext):
-    """Build the extension if possible, otherwise warn and continue."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # noqa: BLE001 - any build failure is non-fatal
-            print(f"warning: compiled kernels skipped ({exc}); "
-                  "using pure-Python fallback")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # noqa: BLE001
-            print(f"warning: building {ext.name} failed ({exc}); "
-                  "using pure-Python fallback")
-
-
-def extensions():
-    try:
-        import numpy as np
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "qsatkit._kernels",
-                ["src/qsatkit/_kernels.pyx"],
-                include_dirs=[np.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[Extension("qsatkit._fiber", ["src/qsatkit/_fiber.c"], optional=True)])

@@ -4,7 +4,7 @@ import os
 
 DEFAULT_MAX_QUBITS = 20
 
-# Largest instance that method="auto" (ground_energy, decide_sat, assemble)
+# Largest instance that method="auto" (ground_energy, decide_sat)
 # solves by dense eigendecomposition; beyond it the matrix-free Krylov path
 # takes over.  Measured crossover (qsatbench small_dense and large_krylov
 # instances, one OpenBLAS thread, 2-core x86 host): at n = 9 dense wins,

@@ -2,17 +2,19 @@
 
 Two interchangeable backends compute ``Q @ state``:
 
-* ``compiled`` — Cython gather/scatter loops over precomputed fiber indices
-  (built at install time; absent if the toolchain was unavailable);
-* ``pure-python`` — numpy reshape/transpose arithmetic.
+* ``compiled`` — the C99 gather/scatter loops of ``_fiber.c`` over the
+  ``fiber_layout`` plan, loaded with ctypes (built at install time when a C
+  compiler is present, absent otherwise);
+* ``pure-python`` — numpy reshape/``moveaxis`` arithmetic, which also
+  handles batched states.
 
-The compiled backend is selected at import when present; setting the
-``QSAT_PURE_PYTHON`` environment variable (to anything non-empty) forces the
-fallback.  ``InstanceApplier`` also accepts an explicit ``backend=`` so the
-two can be compared in one process.
+The compiled backend is selected when its library is present.
+``InstanceApplier`` also accepts an explicit ``backend=`` so the two can be
+compared in one process.
 """
 
-import os
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -20,12 +22,27 @@ from . import _kernels_py
 from .errors import ArgumentError, DimensionMismatchError
 from .instance import GeneralTerm, QsatInstance, RankOneTerm
 
-try:
-    from . import _kernels as _compiled
-except ImportError:  # building the extension is optional
-    _compiled = None
 
-_FORCE_PURE = bool(os.environ.get("QSAT_PURE_PYTHON"))
+def load_compiled(directory):
+    """The ``_fiber`` library in ``directory`` with its argument types
+    declared, or None if it was not built there.
+
+    Arrays pass as bare addresses: numpy's checked ``ndpointer`` arguments
+    cost about 35 us a call against 3 us, more than a whole small fiber
+    loop.  ``InstanceApplier`` checks shape, dtype and contiguity instead.
+    """
+    try:
+        lib = np.ctypeslib.load_library("_fiber", directory)
+    except OSError:
+        return None
+    address, count = ctypes.c_void_p, ctypes.c_int64
+    for fn in (lib.apply_rank_one, lib.apply_general):
+        fn.argtypes = [address, address, address, count, address, count, address]
+        fn.restype = None
+    return lib
+
+
+_compiled = load_compiled(Path(__file__).parent)
 
 
 def compiled_available() -> bool:
@@ -34,18 +51,18 @@ def compiled_available() -> bool:
 
 def backend_name() -> str:
     """The backend InstanceApplier uses by default."""
-    if _compiled is not None and not _FORCE_PURE:
-        return "compiled"
-    return "pure-python"
+    return "compiled" if _compiled is not None else "pure-python"
 
 
 def fiber_layout(num_qubits, support):
-    """Index arrays driving the gather/scatter kernels.
+    """Index arrays that embed a term on ``support`` into the register.
 
     Returns ``(bases, offsets)``: ``bases`` holds the global index of the
     first fiber element for every configuration of the non-support qubits,
     ``offsets`` the index displacement of each of the 2^k fiber amplitudes
-    (big-endian over the support order).
+    (big-endian over the support order).  ``bases[:, None] + offsets`` lists
+    every fiber's indices; the compiled kernels and ``assemble_dense`` both
+    use it.
     """
     n = num_qubits
     k = len(support)
@@ -80,6 +97,7 @@ class InstanceApplier:
         self.num_qubits = instance.num_qubits
         self.dim = 1 << instance.num_qubits
         self._plans = []
+        self._fiber_plans = []
         for term in instance.terms:
             if isinstance(term, RankOneTerm):
                 payload, rank_one = np.array(term.amplitudes), True
@@ -87,11 +105,22 @@ class InstanceApplier:
                 payload, rank_one = np.array(term.matrix), False
             else:
                 raise ArgumentError(f"unsupported term type {type(term).__name__}")
+            self._plans.append((rank_one, term.support, payload))
             if self.backend == "compiled":
+                # The C loops index without bounds checks: the plan must
+                # tile the register and the payload must match the fiber.
                 bases, offsets = fiber_layout(self.num_qubits, term.support)
-                self._plans.append((rank_one, term.support, payload, bases, offsets))
-            else:
-                self._plans.append((rank_one, term.support, payload, None, None))
+                fiber = len(offsets)
+                if (len(bases) * fiber != self.dim
+                        or payload.shape != ((fiber,) if rank_one else (fiber, fiber))):
+                    raise ArgumentError(
+                        f"term on {term.support} does not fit {self.num_qubits} qubits"
+                    )
+                kernel = _compiled.apply_rank_one if rank_one else _compiled.apply_general
+                # The arrays stay referenced here while the kernel holds their addresses.
+                self._fiber_plans.append((kernel, (bases, offsets, payload), (
+                    bases.ctypes.data, len(bases), offsets.ctypes.data, fiber,
+                    payload.ctypes.data)))
 
     def __call__(self, state, out=None):
         state = np.asarray(state)
@@ -99,28 +128,28 @@ class InstanceApplier:
             raise DimensionMismatchError(
                 f"state has leading dimension {state.shape[0]}, expected {self.dim}"
             )
-        batched = state.ndim > 1
-        if self.backend == "compiled" and not batched:
-            # typed memoryviews need contiguous, writable complex buffers
-            if (state.dtype != np.complex128 or not state.flags.c_contiguous
-                    or not state.flags.writeable):
-                state = np.array(state, dtype=np.complex128, order="C")
-        elif state.dtype != np.complex128:
-            state = state.astype(np.complex128)
         if out is None:
-            out = np.zeros_like(state)
+            out = np.zeros(state.shape, dtype=np.complex128)
         else:
+            # Checked before any kernel writes: the C loops trust the buffer.
+            if (not isinstance(out, np.ndarray) or out.dtype != np.complex128
+                    or not out.flags.c_contiguous or not out.flags.writeable):
+                raise ArgumentError("out must be a writeable, C-contiguous complex128 array")
+            if out.shape != state.shape:
+                raise DimensionMismatchError(
+                    f"out has shape {out.shape}, expected {state.shape}"
+                )
             out[...] = 0
-        for rank_one, support, payload, bases, offsets in self._plans:
-            if self.backend == "compiled" and not batched:
-                if rank_one:
-                    _compiled.apply_rank_one(out, state, bases, offsets, payload)
-                else:
-                    _compiled.apply_general(out, state, bases, offsets, payload)
-            elif rank_one:
-                _kernels_py.apply_rank_one(out, state, self.num_qubits, support, payload)
-            else:
-                _kernels_py.apply_general(out, state, self.num_qubits, support, payload)
+        if self.backend == "compiled" and state.ndim == 1:
+            state = np.ascontiguousarray(state, dtype=np.complex128)
+            out_at, state_at = out.ctypes.data, state.ctypes.data
+            for kernel, _, args in self._fiber_plans:
+                kernel(out_at, state_at, *args)
+            return out
+        state = state.astype(np.complex128, copy=False)
+        for rank_one, support, payload in self._plans:
+            kernel = _kernels_py.apply_rank_one if rank_one else _kernels_py.apply_general
+            kernel(out, state, self.num_qubits, support, payload)
         return out
 
 

@@ -68,10 +68,9 @@ def sat_tolerance(num_terms: int) -> float:
 def assemble_dense(instance: QsatInstance) -> np.ndarray:
     """The full 2^n x 2^n operator, built by embedding each term's matrix.
 
-    Embedding works by ranking every global basis index by its (non-support
-    bits, support bits) pair; sorting those ranks groups the indices of each
-    fiber, and one fancy-indexed addition per term scatters the term matrix
-    onto all fibers at once.
+    ``kernels.fiber_layout`` lists the register indices of every fiber of a
+    term; one fancy-indexed addition per term scatters the term matrix onto
+    all fibers at once.
     """
     require_valid(instance)
     n = instance.num_qubits
@@ -81,35 +80,11 @@ def assemble_dense(instance: QsatInstance) -> np.ndarray:
         )
     dim = 1 << n
     q = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(dim, dtype=np.int64)
     for term in instance.terms:
-        k = len(term.support)
-        fiber = np.zeros(dim, dtype=np.int64)
-        for j, s in enumerate(term.support):
-            fiber |= ((idx >> (n - 1 - s)) & 1) << (k - 1 - j)
-        rest_qubits = [s for s in range(n) if s not in set(term.support)]
-        rest = np.zeros(dim, dtype=np.int64)
-        for j, s in enumerate(rest_qubits):
-            rest |= ((idx >> (n - 1 - s)) & 1) << (len(rest_qubits) - 1 - j)
-        order = np.argsort((rest << k) | fiber).reshape(-1, 1 << k)
-        q[order[:, :, None], order[:, None, :]] += term.dense()
+        bases, offsets = kernels.fiber_layout(n, term.support)
+        idx = bases[:, None] + offsets
+        q[idx[:, :, None], idx[:, None, :]] += term.dense()
     return q
-
-
-def assemble(instance: QsatInstance):
-    """The instance operator: a dense array up to the dense cutoff,
-    otherwise a matrix-free linear operator applying the embedded terms."""
-    require_valid(instance)
-    n = instance.num_qubits
-    if n > config.max_qubits():
-        raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
-    if n <= config.DENSE_CUTOFF:
-        return assemble_dense(instance)
-    applier = kernels.InstanceApplier(instance)
-    dim = 1 << n
-    return scipy.sparse.linalg.LinearOperator(
-        shape=(dim, dim), matvec=applier, dtype=np.complex128
-    )
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -193,6 +168,10 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
         raise ArgumentError(f"unknown method {method!r}")
     if method == "auto":
         method = "dense" if n <= config.DENSE_CUTOFF else "krylov"
+    if method == "dense" and n > config.DENSE_MAX_QUBITS:
+        raise CapacityError(
+            f"dense solves are limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
+        )
     m = instance.num_terms
     if m == 0:
         vec = np.zeros(1 << n, dtype=np.complex128)

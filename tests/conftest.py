@@ -10,11 +10,16 @@ tautology.
 from __future__ import annotations
 
 import math
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import qsatkit as qk
+from qsatkit import kernels
 
 
 def embed_matrix(num_qubits: int, support, matrix: np.ndarray) -> np.ndarray:
@@ -98,6 +103,57 @@ def random_instance(
         for support in random_supports(rng, num_qubits, num_terms, k)
     ]
     return qk.QsatInstance(num_qubits, terms, promise_gap=promise_gap)
+
+
+@st.composite
+def mixed_instances(draw, max_qubits=5):
+    """Rank-1 and general projectors on supports of any size and qubit
+    order, with repeated terms, down to the empty instance."""
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 1 << 30))))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["rank-one", "general", "repeat"]))
+        if kind == "repeat" and terms:
+            terms.append(terms[draw(st.integers(0, len(terms) - 1))])
+            continue
+        k = draw(st.integers(1, n))
+        support = tuple(draw(st.permutations(range(n)))[:k])
+        if kind == "general":
+            rank = draw(st.integers(1, 1 << k))
+            cols = rng.standard_normal((1 << k, rank)) + 1j * rng.standard_normal((1 << k, rank))
+            q, _ = np.linalg.qr(cols)
+            proj = q @ q.conj().T
+            terms.append(qk.GeneralTerm(support, (proj + proj.conj().T) / 2))
+        else:
+            terms.append(qk.haar_random_term(support, rng))
+    return qk.QsatInstance(n, terms)
+
+
+@pytest.fixture(scope="session")
+def compiled_library(tmp_path_factory):
+    """The C kernel source compiled for this session and bound as the
+    package binds an installed build, whether or not one is installed."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    directory = tmp_path_factory.mktemp("kernels")
+    source = Path(kernels.__file__).with_name("_fiber.c")
+    subprocess.run(
+        [cc, "-std=c99", "-O2", "-shared", "-fPIC", str(source),
+         "-o", str(directory / "_fiber.so")],
+        check=True,
+    )
+    return kernels.load_compiled(directory)
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Indirect parameter naming a backend; "compiled" runs the session's
+    build of the C kernel."""
+    if request.param == "compiled":
+        monkeypatch.setattr(kernels, "_compiled", request.getfixturevalue("compiled_library"))
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import qsatkit as qk
+from qsatkit import kernels
 from qsatkit.kernels import fiber_layout
 
-from conftest import embed_matrix, oracle_matrix, random_instance
+from conftest import embed_matrix, mixed_instances, oracle_matrix, random_instance
 
-BACKENDS = ["pure-python"] + (["compiled"] if qk.compiled_available() else [])
+BACKENDS = ["pure-python", "compiled"]
 
 
 def rand_state(rng, num_qubits, cols=None):
@@ -41,7 +41,7 @@ class TestFiberLayout:
 
 
 class TestApplier:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_independent_embedding(self, backend, seed):
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -53,7 +53,7 @@ class TestApplier:
         expected = oracle_matrix(inst) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     def test_general_terms_are_supported(self, backend):
         rng = np.random.Generator(np.random.Philox(key=77))
         mat = np.zeros((4, 4), dtype=np.complex128)
@@ -64,9 +64,8 @@ class TestApplier:
         expected = embed_matrix(3, (2, 0), mat) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
-    def test_backends_agree(self):
-        if not qk.compiled_available():
-            pytest.skip("compiled kernels unavailable")
+    def test_backends_agree(self, compiled_library, monkeypatch):
+        monkeypatch.setattr(kernels, "_compiled", compiled_library)
         rng = np.random.Generator(np.random.Philox(key=5))
         inst = random_instance(rng, 7, num_terms=9, k=3)
         state = rand_state(rng, 7)
@@ -91,6 +90,41 @@ class TestApplier:
         result = qk.InstanceApplier(inst)(state, out=out)
         assert result is out
 
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    @pytest.mark.parametrize("shape", [(4,), (8, 1), (16,)])
+    def test_out_of_the_wrong_shape_is_rejected(self, backend, shape):
+        inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
+        out = np.full(shape, 7.0 + 0j)
+        with pytest.raises(qk.DimensionMismatchError):
+            qk.InstanceApplier(inst, backend=backend)(np.ones(8), out=out)
+        assert (out == 7.0).all()
+
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    @pytest.mark.parametrize("layout", ["float64", "strided", "read-only", "list"])
+    def test_out_of_the_wrong_layout_is_rejected(self, backend, layout):
+        inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
+        out = {
+            "float64": np.zeros(8),
+            "strided": np.zeros(16, dtype=np.complex128)[::2],
+            "read-only": np.zeros(8, dtype=np.complex128),
+            "list": [0j] * 8,
+        }[layout]
+        if layout == "read-only":
+            out.setflags(write=False)
+        with pytest.raises(qk.ArgumentError):
+            qk.InstanceApplier(inst, backend=backend)(np.ones(8), out=out)
+
+    @pytest.mark.parametrize("support, fiber", [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)])
+    def test_compiled_plans_must_fit_the_register(self, compiled_library, monkeypatch,
+                                                  support, fiber):
+        # Out-of-range and repeated qubits, and a payload shorter than the fiber.
+        monkeypatch.setattr(kernels, "_compiled", compiled_library)
+        amplitudes = np.zeros(fiber)
+        amplitudes[0] = 1.0
+        inst = qk.QsatInstance(3, [qk.RankOneTerm(support, amplitudes)])
+        with pytest.raises(qk.ArgumentError):
+            qk.InstanceApplier(inst, backend="compiled")
+
     def test_dimension_mismatch_is_rejected(self):
         inst = qk.QsatInstance(3, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.DimensionMismatchError):
@@ -101,12 +135,13 @@ class TestApplier:
         with pytest.raises(qk.ArgumentError):
             qk.InstanceApplier(inst, backend="fortran")
 
-    def test_backend_name_reports_selection(self):
-        assert qk.backend_name() in {"compiled", "pure-python"}
-        if os.environ.get("QSAT_PURE_PYTHON"):
-            assert qk.backend_name() == "pure-python"
-        elif qk.compiled_available():
-            assert qk.backend_name() == "compiled"
+    def test_backend_name_reports_selection(self, monkeypatch):
+        assert qk.backend_name() == (
+            "compiled" if qk.compiled_available() else "pure-python"
+        )
+        monkeypatch.setattr(kernels, "_compiled", None)
+        assert qk.backend_name() == "pure-python"
+        assert qk.InstanceApplier(qk.QsatInstance(1, [])).backend == "pure-python"
 
 
 class TestConvenience:
@@ -129,3 +164,21 @@ class TestConvenience:
         value = qk.expectation(inst, state)
         assert isinstance(value, float)
         assert value >= -1e-12
+
+
+@given(mixed_instances(max_qubits=7))
+@settings(max_examples=60, deadline=None)
+def test_kernels_and_assembly_match_the_oracle(compiled_library, inst):
+    """The C kernel, the numpy kernel and assemble_dense against the
+    Kronecker oracle: rank-1 and general terms, any support order, k = 1..n."""
+    rng = np.random.Generator(np.random.Philox(key=inst.num_qubits))
+    state = rand_state(rng, inst.num_qubits)
+    oracle = oracle_matrix(inst)
+    assert np.abs(qk.assemble_dense(inst) - oracle).max() <= 1e-12
+    pure = qk.InstanceApplier(inst, backend="pure-python")(state)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_compiled", compiled_library)
+        fast = qk.InstanceApplier(inst, backend="compiled")(state)
+    assert np.abs(fast - pure).max(initial=0.0) <= 1e-13
+    for applied in (pure, fast):
+        assert np.abs(applied - oracle @ state).max(initial=0.0) <= 1e-12

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import LinearOperator
 
 import qsatkit as qk
 
 from conftest import (
     embed_matrix,
+    mixed_instances,
     near_identity_pair,
     oracle_lambda0,
     oracle_matrix,
@@ -32,31 +32,6 @@ def _singlet_chain(num_qubits):
     return qk.QsatInstance(
         num_qubits, [qk.singlet_term(q, q + 1) for q in range(num_qubits - 1)]
     )
-
-
-@st.composite
-def mixed_instances(draw):
-    """Rank-1 and general projectors on supports of any size and qubit
-    order, with repeated terms, down to the empty instance."""
-    n = draw(st.integers(1, 5))
-    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 1 << 30))))
-    terms = []
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["rank-one", "general", "repeat"]))
-        if kind == "repeat" and terms:
-            terms.append(terms[draw(st.integers(0, len(terms) - 1))])
-            continue
-        k = draw(st.integers(1, n))
-        support = tuple(draw(st.permutations(range(n)))[:k])
-        if kind == "general":
-            rank = draw(st.integers(1, 1 << k))
-            cols = rng.standard_normal((1 << k, rank)) + 1j * rng.standard_normal((1 << k, rank))
-            q, _ = np.linalg.qr(cols)
-            proj = q @ q.conj().T
-            terms.append(qk.GeneralTerm(support, (proj + proj.conj().T) / 2))
-        else:
-            terms.append(qk.haar_random_term(support, rng))
-    return qk.QsatInstance(n, terms)
 
 
 def _register_basis(inst):
@@ -99,25 +74,6 @@ class TestAssemble:
         assert np.allclose(q, q.conj().T)
         assert np.linalg.eigvalsh(q)[0] >= -1e-12
 
-    def test_large_instances_become_linear_operators(self):
-        rng = np.random.Generator(np.random.Philox(key=3))
-        inst = random_instance(rng, 15, num_terms=2, k=2)
-        op = qk.assemble(inst)
-        assert isinstance(op, LinearOperator)
-        state = rng.standard_normal(1 << 15) + 0j
-        assert np.allclose(op @ state, qk.apply_instance(inst, state), atol=1e-10)
-
-    def test_capacity_ceiling_is_enforced(self, monkeypatch):
-        monkeypatch.setenv("QSAT_MAX_QUBITS", "3")
-        inst = qk.QsatInstance(4, [qk.basis_term((0,), "0")])
-        with pytest.raises(qk.CapacityError):
-            qk.assemble(inst)
-
-    def test_auto_switches_to_matrix_free_above_the_dense_cutoff(self):
-        cutoff = qk.config.DENSE_CUTOFF
-        assert isinstance(qk.assemble(_singlet_chain(cutoff)), np.ndarray)
-        assert isinstance(qk.assemble(_singlet_chain(cutoff + 1)), LinearOperator)
-
     def test_dense_routines_refuse_before_allocating(self):
         # 14 qubits would need a 4 GiB matrix plus eigh's copy.
         inst = _singlet_chain(qk.config.DENSE_MAX_QUBITS + 1)
@@ -125,6 +81,8 @@ class TestAssemble:
         try:
             with pytest.raises(qk.CapacityError):
                 qk.ground_energy(inst, method="dense")
+            with pytest.raises(qk.CapacityError):
+                qk.ground_energy(qk.QsatInstance(inst.num_qubits, []), method="dense")
             with pytest.raises(qk.CapacityError):
                 qk.assemble_dense(inst)
             with pytest.raises(qk.CapacityError):
