@@ -99,10 +99,12 @@ class InstanceApplier:
         self._plans = []
         self._fiber_plans = []
         for term in instance.terms:
+            # Row-major complex128: the C loops read the matrix row by row,
+            # and a term keeps the memory order it was given.
             if isinstance(term, RankOneTerm):
-                payload, rank_one = np.array(term.amplitudes), True
+                payload, rank_one = np.ascontiguousarray(term.amplitudes, np.complex128), True
             elif isinstance(term, GeneralTerm):
-                payload, rank_one = np.array(term.matrix), False
+                payload, rank_one = np.ascontiguousarray(term.matrix, np.complex128), False
             else:
                 raise ArgumentError(f"unsupported term type {type(term).__name__}")
             self._plans.append((rank_one, term.support, payload))

@@ -108,7 +108,8 @@ def random_instance(
 @st.composite
 def mixed_instances(draw, max_qubits=5):
     """Rank-1 and general projectors on supports of any size and qubit
-    order, with repeated terms, down to the empty instance."""
+    order, general ones stored row- or column-major, with repeated terms,
+    down to the empty instance."""
     n = draw(st.integers(1, max_qubits))
     rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 1 << 30))))
     terms = []
@@ -124,7 +125,9 @@ def mixed_instances(draw, max_qubits=5):
             cols = rng.standard_normal((1 << k, rank)) + 1j * rng.standard_normal((1 << k, rank))
             q, _ = np.linalg.qr(cols)
             proj = q @ q.conj().T
-            terms.append(qk.GeneralTerm(support, (proj + proj.conj().T) / 2))
+            order = draw(st.sampled_from("CF"))
+            matrix = np.asarray((proj + proj.conj().T) / 2, order=order)
+            terms.append(qk.GeneralTerm(support, matrix))
         else:
             terms.append(qk.haar_random_term(support, rng))
     return qk.QsatInstance(n, terms)

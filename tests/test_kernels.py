@@ -64,6 +64,22 @@ class TestApplier:
         expected = embed_matrix(3, (2, 0), mat) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    def test_general_terms_in_fortran_order(self, backend):
+        # A conjugate transpose is a column-major view, and the term keeps
+        # that order; a row-major reader of it would apply conj(P), not P.
+        rng = np.random.Generator(np.random.Philox(key=78))
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        vec /= np.linalg.norm(vec)
+        proj = np.outer(vec.conj(), vec)
+        term = qk.GeneralTerm((2, 0), proj.conj().T)
+        assert term.matrix.flags.f_contiguous and not term.matrix.flags.c_contiguous
+        inst = qk.QsatInstance(3, [term])
+        state = rand_state(rng, 3)
+        expected = embed_matrix(3, (2, 0), proj.conj().T) @ state
+        applied = qk.InstanceApplier(inst, backend=backend)(state)
+        assert np.abs(applied - expected).max() <= 1e-12
+
     def test_backends_agree(self, compiled_library, monkeypatch):
         monkeypatch.setattr(kernels, "_compiled", compiled_library)
         rng = np.random.Generator(np.random.Philox(key=5))
