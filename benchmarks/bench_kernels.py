@@ -1,17 +1,18 @@
 """Benchmark the compiled C99 kernel against the numpy (pure-Python) kernel.
 
-Both backends implement the same contract (apply the assembled operator of
-an instance to a state vector), so the comparison is a single matvec loop
-per backend on identical inputs.  The compiled backend is timed only when
-``src/qsatkit/_fiber.c`` has been built, for example with
-``python setup.py build_ext --inplace``.  Output on a 2-core x86 host with
-gcc and one OpenBLAS thread::
+Both backends walk the same ``fiber_layout`` plan to apply the operator of
+an instance to a state vector, so the comparison is a single matvec loop
+per backend on identical inputs; the script raises if they disagree.  The
+compiled backend is timed only when ``src/qsatkit/_fiber.c`` has been
+built, for example with ``python setup.py build_ext --inplace``.  Output
+with ``--repeats 100`` on a 2-core x86 host with gcc and one OpenBLAS
+thread::
 
     qubits  terms   k  backend        best matvec    speedup
-         8     20   3  pure-python       0.570 ms       1.0x
-         8     20   3  compiled          0.070 ms       8.2x
-        10     20   3  pure-python       0.899 ms       1.0x
-        10     20   3  compiled          0.193 ms       4.7x
+         8     20   3  pure-python       0.276 ms       1.0x
+         8     20   3  compiled          0.080 ms       3.5x
+        10     20   3  pure-python       0.474 ms       1.0x
+        10     20   3  compiled          0.183 ms       2.6x
         ...
 
 Run as ``python benchmarks/bench_kernels.py`` from the repository root.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .instance import QsatInstance, RankOneTerm, require_valid
+from .instance import QsatInstance, RankOneTerm
 from .spectral import SATISFIABLE, UNSATISFIABLE, decide_sat
 
 
@@ -62,9 +62,7 @@ def sample_ensemble(num_qubits, supports, trials, seed) -> EnsembleResult:
     for trial in range(trials):
         rng = _generator(seed ^ trial)
         terms = [haar_random_term(s, rng) for s in supports]
-        instance = QsatInstance(num_qubits, terms)
-        require_valid(instance)
-        verdict = decide_sat(instance)
+        verdict = decide_sat(QsatInstance(num_qubits, terms))
         if verdict.tag == SATISFIABLE:
             sat_count += 1
         elif verdict.tag == UNSATISFIABLE:

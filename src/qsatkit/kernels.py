@@ -1,12 +1,12 @@
 """Backend selection and matrix-free application of instances to states.
 
-Two interchangeable backends compute ``Q @ state``:
+Both backends compute ``Q @ state`` over the same per-term ``fiber_layout``
+plan, which ``assemble_dense`` also uses:
 
-* ``compiled`` — the C99 gather/scatter loops of ``_fiber.c`` over the
-  ``fiber_layout`` plan, loaded with ctypes (built at install time when a C
-  compiler is present, absent otherwise);
-* ``pure-python`` — numpy reshape/``moveaxis`` arithmetic, which also
-  handles batched states.
+* ``compiled`` — the C99 gather/scatter loops of ``_fiber.c``, loaded with
+  ctypes (built at install time when a C compiler is present, absent
+  otherwise);
+* ``pure-python`` — the same gather/scatter as numpy fancy indexing.
 
 The compiled backend is selected when its library is present.
 ``InstanceApplier`` also accepts an explicit ``backend=`` so the two can be
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels_py
 from .errors import ArgumentError, DimensionMismatchError
 from .instance import GeneralTerm, QsatInstance, RankOneTerm
 
@@ -81,9 +80,9 @@ def fiber_layout(num_qubits, support):
 class InstanceApplier:
     """Callable computing ``Q @ state`` for a fixed instance.
 
-    Per-term index plans are computed once at construction, so repeated
-    applications (Krylov iterations) pay only the arithmetic.  Batched
-    states (shape ``(dim, batch)``) are handled by the pure backend.
+    Per-term fiber plans are computed once at construction, so repeated
+    applications (Krylov iterations) pay only the arithmetic.  A batch of
+    states (shape ``(dim, batch)``) is applied column by column.
     """
 
     def __init__(self, instance: QsatInstance, backend: str = "auto"):
@@ -97,7 +96,6 @@ class InstanceApplier:
         self.num_qubits = instance.num_qubits
         self.dim = 1 << instance.num_qubits
         self._plans = []
-        self._fiber_plans = []
         for term in instance.terms:
             # Row-major complex128: the C loops read the matrix row by row,
             # and a term keeps the memory order it was given.
@@ -107,22 +105,26 @@ class InstanceApplier:
                 payload, rank_one = np.ascontiguousarray(term.matrix, np.complex128), False
             else:
                 raise ArgumentError(f"unsupported term type {type(term).__name__}")
-            self._plans.append((rank_one, term.support, payload))
-            if self.backend == "compiled":
-                # The C loops index without bounds checks: the plan must
-                # tile the register and the payload must match the fiber.
-                bases, offsets = fiber_layout(self.num_qubits, term.support)
-                fiber = len(offsets)
-                if (len(bases) * fiber != self.dim
-                        or payload.shape != ((fiber,) if rank_one else (fiber, fiber))):
-                    raise ArgumentError(
-                        f"term on {term.support} does not fit {self.num_qubits} qubits"
-                    )
-                kernel = _compiled.apply_rank_one if rank_one else _compiled.apply_general
-                # The arrays stay referenced here while the kernel holds their addresses.
-                self._fiber_plans.append((kernel, (bases, offsets, payload), (
-                    bases.ctypes.data, len(bases), offsets.ctypes.data, fiber,
-                    payload.ctypes.data)))
+            # The plan must tile the register and the payload must match the
+            # fiber: the C loops index without bounds checks, and the numpy
+            # kernel relies on each term overwriting its scratch whole.
+            bases, offsets = fiber_layout(self.num_qubits, term.support)
+            fiber = len(offsets)
+            if (len(bases) * fiber != self.dim
+                    or payload.shape != ((fiber,) if rank_one else (fiber, fiber))):
+                raise ArgumentError(
+                    f"term on {term.support} does not fit {self.num_qubits} qubits"
+                )
+            self._plans.append((rank_one, bases, offsets, payload))
+        self._addresses = None
+        if backend == "compiled":
+            # The plans stay referenced here while the kernel holds their addresses.
+            self._addresses = tuple(
+                (_compiled.apply_rank_one if rank_one else _compiled.apply_general,
+                 (bases.ctypes.data, len(bases), offsets.ctypes.data, len(offsets),
+                  payload.ctypes.data))
+                for rank_one, bases, offsets, payload in self._plans
+            )
 
     def __call__(self, state, out=None):
         state = np.asarray(state)
@@ -141,26 +143,46 @@ class InstanceApplier:
                 raise DimensionMismatchError(
                     f"out has shape {out.shape}, expected {state.shape}"
                 )
+            # out is zeroed before state is read, so the two must not overlap.
+            if np.shares_memory(out, state):
+                raise ArgumentError("out must not share memory with state")
             out[...] = 0
-        if self.backend == "compiled" and state.ndim == 1:
-            state = np.ascontiguousarray(state, dtype=np.complex128)
-            out_at, state_at = out.ctypes.data, state.ctypes.data
-            for kernel, _, args in self._fiber_plans:
-                kernel(out_at, state_at, *args)
+        if state.ndim == 1:
+            self._accumulate(out, np.ascontiguousarray(state, dtype=np.complex128))
             return out
-        state = state.astype(np.complex128, copy=False)
-        for rank_one, support, payload in self._plans:
-            kernel = _kernels_py.apply_rank_one if rank_one else _kernels_py.apply_general
-            kernel(out, state, self.num_qubits, support, payload)
+        # One contiguous row per column, so both backends see plain vectors.
+        sources = np.ascontiguousarray(state.reshape(self.dim, -1).T, dtype=np.complex128)
+        results = np.zeros_like(sources)
+        for source, result in zip(sources, results):
+            self._accumulate(result, source)
+        out.reshape(self.dim, -1)[...] = results.T
         return out
 
+    def _accumulate(self, out, state):
+        """out += Q @ state for contiguous complex128 vectors."""
+        if self._addresses is not None:
+            out_at, state_at = out.ctypes.data, state.ctypes.data
+            for kernel, args in self._addresses:
+                kernel(out_at, state_at, *args)
+            return
+        scratch = np.empty_like(out)
+        for rank_one, bases, offsets, payload in self._plans:
+            # Row b of idx lists the indices of fiber b.
+            idx = bases[:, None] + offsets
+            fibers = state.take(idx)
+            if rank_one:
+                scratch[idx] = np.multiply.outer(fibers @ payload.conj(), payload)
+            else:
+                scratch[idx] = fibers @ payload.T
+            out += scratch
 
-def apply_instance(instance, state, out=None, backend="auto"):
+
+def apply_instance(instance, state):
     """One-shot ``Q @ state``; build an InstanceApplier for repeated use."""
-    return InstanceApplier(instance, backend=backend)(state, out=out)
+    return InstanceApplier(instance)(state)
 
 
-def expectation(instance, state, backend="auto"):
+def expectation(instance, state):
     """<state| Q |state> as a real number (state need not be normalized)."""
     state = np.asarray(state, dtype=np.complex128)
-    return float(np.vdot(state, apply_instance(instance, state, backend=backend)).real)
+    return float(np.vdot(state, apply_instance(instance, state)).real)

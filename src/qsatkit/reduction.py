@@ -263,10 +263,10 @@ def extract_minimal_core(u: QsatInstance) -> MinimalCore:
 
     Terms are dropped in input order whenever their removal leaves the
     instance unsatisfiable; passes repeat until one removes nothing.  The
-    returned certificate re-derives all the solver verdicts the result
-    depends on.
+    certificate keeps the ground energies those verdicts computed: the
+    core's from the verdict that accepted it, and each deletion's from the
+    final pass, which removed nothing.
     """
-    require_valid(u)
     verdict = decide_sat(u)
     if verdict.tag == SATISFIABLE:
         raise PreconditionError("instance is satisfiable; it has no unsatisfiable core")
@@ -274,28 +274,26 @@ def extract_minimal_core(u: QsatInstance) -> MinimalCore:
         raise IndeterminateError(
             f"cannot certify unsatisfiability at lambda0 = {verdict.lambda0!r}"
         )
-    current = u
+    current, core_lambda0 = u, verdict.lambda0
     changed = True
     while changed:
         changed = False
+        deletions = []
         i = 0
         while i < current.num_terms:
             candidate = _without(current, i)
             v = decide_sat(candidate)
             if v.tag == UNSATISFIABLE:
-                current = candidate
+                current, core_lambda0 = candidate, v.lambda0
                 changed = True
             elif v.tag == SATISFIABLE:
+                deletions.append(v.lambda0)
                 i += 1
             else:
                 raise IndeterminateError(
                     f"deletion test landed in the indeterminate band at lambda0 = {v.lambda0!r}"
                 )
-    core_lambda0 = ground_energy(current).lambda0
-    deletions = tuple(
-        ground_energy(_without(current, i)).lambda0 for i in range(current.num_terms)
-    )
-    return MinimalCore(current, CoreCertificate(core_lambda0, deletions))
+    return MinimalCore(current, CoreCertificate(core_lambda0, tuple(deletions)))
 
 
 def build_enforcing_gadget(
@@ -392,10 +390,9 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
         raise ArgumentError("target locality must be positive")
     if any(not isinstance(t, RankOneTerm) for t in q.terms):
         raise ArgumentError("reduction requires rank-1 terms; decompose first")
-    if locality(q) > target_k:
-        raise ArgumentError(
-            f"instance is {locality(q)}-local; cannot reduce to locality {target_k}"
-        )
+    k = locality(q)
+    if k > target_k:
+        raise ArgumentError(f"instance is {k}-local; cannot reduce to locality {target_k}")
     gadget = build_enforcing_gadget(r)
     penalty = gadget.penalty_constant
     roles = [ROLE_WORK] * q.num_qubits

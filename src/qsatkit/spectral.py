@@ -284,7 +284,6 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     oracle; any disagreement downgrades it to indeterminate rather than
     guessing.
     """
-    require_valid(instance)
     result = ground_energy(instance, method=method)
     lam = result.lambda0
     if lam <= sat_tolerance(instance.num_terms):

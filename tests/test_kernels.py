@@ -89,11 +89,12 @@ class TestApplier:
         slow = qk.InstanceApplier(inst, backend="pure-python")
         assert np.allclose(fast(state), slow(state), atol=1e-13)
 
-    def test_batched_states_apply_columnwise(self):
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    def test_batched_states_apply_columnwise(self, backend):
         rng = np.random.Generator(np.random.Philox(key=9))
         inst = random_instance(rng, 4, num_terms=3)
         block = rand_state(rng, 4, cols=5)
-        applier = qk.InstanceApplier(inst)
+        applier = qk.InstanceApplier(inst, backend=backend)
         batched = applier(block)
         for j in range(5):
             assert np.allclose(batched[:, j], applier(block[:, j]), atol=1e-12)
@@ -105,6 +106,17 @@ class TestApplier:
         out = np.empty(8, dtype=np.complex128)
         result = qk.InstanceApplier(inst)(state, out=out)
         assert result is out
+
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    def test_out_sharing_memory_with_state_is_rejected(self, backend):
+        # out is zeroed before state is read, so out=x would give zeros.
+        inst = qk.QsatInstance(2, [qk.basis_term((0,), "0")])
+        x = np.array([1, 0, 0, 0], dtype=np.complex128)
+        applier = qk.InstanceApplier(inst, backend=backend)
+        assert applier(x).tolist() == [1, 0, 0, 0]
+        with pytest.raises(qk.ArgumentError):
+            applier(x, out=x)
+        assert x.tolist() == [1, 0, 0, 0]
 
     @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("shape", [(4,), (8, 1), (16,)])

@@ -261,6 +261,22 @@ class TestExtractMinimalCore:
             )
             assert qk.decide_sat(weakened).tag == qk.SATISFIABLE
 
+    def test_certificate_holds_the_cores_own_energies(self, figure_b):
+        # The extra term raises the input's energy to about 0.33; the core's
+        # is about 0.22.
+        padded = qk.QsatInstance(
+            3, [qk.basis_term((0,), "0"), *figure_b.terms], figure_b.promise_gap
+        )
+        result = qk.extract_minimal_core(padded)
+        core, cert = result.core, result.certificate
+        assert abs(cert.core_lambda0 - qk.ground_energy(core).lambda0) <= 1e-12
+        assert len(cert.deletion_lambda0) == core.num_terms
+        for i, lam in enumerate(cert.deletion_lambda0):
+            weakened = qk.QsatInstance(
+                core.num_qubits, core.terms[:i] + core.terms[i + 1:], core.promise_gap
+            )
+            assert abs(lam - qk.ground_energy(weakened).lambda0) <= 1e-12
+
     def test_satisfiable_input_is_refused(self, figure_a):
         with pytest.raises(qk.PreconditionError):
             qk.extract_minimal_core(figure_a)

@@ -290,6 +290,14 @@ class TestDecideSat:
         assert verdict.tag == qk.INDETERMINATE
         assert 2e-9 < verdict.lambda0 < 1e-6
 
+    @pytest.mark.parametrize("term", [
+        qk.basis_term((0, 3), "01"),
+        qk.RankOneTerm((0, 1), [np.nan, 1.0, 0.0, 0.0]),
+    ], ids=["support-out-of-range", "nan-amplitude"])
+    def test_invalid_instance_is_rejected(self, term):
+        with pytest.raises(qk.ValidationError):
+            qk.decide_sat(qk.QsatInstance(3, [term]))
+
     def test_tolerance_scales_with_term_count(self):
         from qsatkit.spectral import sat_tolerance
 
