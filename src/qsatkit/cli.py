@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="decide satisfiability of an instance file")
     solve.add_argument("path", help="instance file or builtin:<name>")
     solve.add_argument(
-        "--method", choices=("auto", "dense", "krylov"), default="auto"
+        "--method", choices=("auto", "dense", "krylov"), default="auto",
+        help="auto tries a checked null-space witness first (reported as "
+        "method nullspace); dense and krylov force a ground-energy route",
     )
     solve.add_argument("--json", action="store_true", help="machine-readable output")
     solve.set_defaults(func=cmd_solve)
@@ -355,7 +357,11 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (IndeterminateError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
+        best = "" if exc.best_lambda0 is None else f" (best lambda0 {exc.best_lambda0!r})"
+        print(f"error: {exc}{best}", file=sys.stderr)
+        return EXIT_INDETERMINATE
+    except IndeterminateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (ArgumentError, ValidationError, QsatError) as exc:

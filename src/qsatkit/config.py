@@ -28,6 +28,10 @@ DENSE_MAX_QUBITS = 13
 # n = 8-10, where a 2^n-row basis took 0.6-0.7 s at n = 10 (m = 15, k = 2).
 # Beyond the cutoff, planted instances take 1.9-5.5 ms at n = 11, 2.1-38 ms
 # at n = 12 and 2.6-16 ms at n = 13; frustrated and Haar ones 0.6-11 ms.
+# The cutoff also marks where the byte limit of decide_sat's null-space
+# witness starts: up to it the basis is unlimited, as the cross-check always
+# was; above it, no array of the basis may exceed the KRYLOV_NCV x 2^n
+# complex amplitudes of the Lanczos basis the Krylov route would allocate.
 NULLSPACE_CROSSCHECK_CUTOFF = 10
 
 NORM_TOL = 1e-10          # | ||amplitudes|| - 1 |

@@ -82,7 +82,8 @@ class InstanceApplier:
 
     Per-term fiber plans are computed once at construction, so repeated
     applications (Krylov iterations) pay only the arithmetic.  A batch of
-    states (shape ``(dim, batch)``) is applied column by column.
+    states (shape ``(dim, batch)``) is applied column by column; any other
+    shape raises DimensionMismatchError.
     """
 
     def __init__(self, instance: QsatInstance, backend: str = "auto"):
@@ -128,9 +129,10 @@ class InstanceApplier:
 
     def __call__(self, state, out=None):
         state = np.asarray(state)
-        if state.shape[0] != self.dim:
+        if state.ndim not in (1, 2) or state.shape[0] != self.dim:
             raise DimensionMismatchError(
-                f"state has leading dimension {state.shape[0]}, expected {self.dim}"
+                f"state has shape {state.shape}, expected ({self.dim},) "
+                f"or ({self.dim}, batch)"
             )
         if out is None:
             out = np.zeros(state.shape, dtype=np.complex128)

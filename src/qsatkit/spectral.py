@@ -8,13 +8,17 @@ Two independent solver routes back every claim in the library:
   (with deflation of converged Ritz pairs) on the reflected operator
   ``m*I - Q``, whose top eigenvalue maps back to the ground energy.
 
-A third mechanism, singular-value-based null-space intersection, decides
-satisfiability without any eigensolve and is used to cross-check verdicts
-on small instances.  It keeps its basis on the qubits the terms seen so far
-touch, with the identity on the rest left implicit, so its cost follows the
+A third mechanism, singular-value-based null-space intersection, needs no
+eigensolve.  It keeps its basis on the qubits the terms seen so far touch,
+with the identity on the rest left implicit, so its cost follows the
 touched register and the basis width rather than 2^n: 0.5-6.3 ms at
 n = 8-10 on qsatbench-style planted, frustrated and Haar instances (one
-OpenBLAS thread), where a 2^n-row basis took 0.6-0.7 s at n = 10.
+OpenBLAS thread), where a 2^n-row basis took 0.6-0.7 s at n = 10.  It
+decides too: ``decide_sat(method="auto")`` first embeds one basis vector
+into the register as a witness and accepts it as a satisfiable verdict when
+one matvec confirms its energy, so a satisfiable instance needs no
+eigensolver (an n = 15 planted verdict took about 40 ms against seconds of
+Lanczos).  Otherwise it cross-checks the spectral verdict.
 
 ``method="auto"`` takes the dense route up to ``config.DENSE_CUTOFF`` qubits
 and Krylov beyond; no dense routine accepts more than
@@ -57,7 +61,9 @@ class SatVerdict:
     tag: str  # SATISFIABLE | UNSATISFIABLE | INDETERMINATE
     lambda0: float
     nullspace_dim: int | None = None
-    method: str | None = None  # the ground-energy route that ran
+    # The route that decided: "nullspace" (a witness state whose energy was
+    # checked), or the ground-energy route that ran, "dense" or "krylov".
+    method: str | None = None
 
 
 def sat_tolerance(num_terms: int) -> float:
@@ -195,24 +201,41 @@ def full_spectrum(instance: QsatInstance) -> np.ndarray:
     return np.linalg.eigvalsh(assemble_dense(instance))
 
 
-def _null_directions(matrix: np.ndarray) -> np.ndarray:
+def _refuse_above(max_bytes, rows, cols, what):
+    """Raise CapacityError, before allocating, when a rows x cols complex
+    array would exceed ``max_bytes`` (None: no limit)."""
+    if max_bytes is not None and 16 * rows * cols > max_bytes:
+        raise CapacityError(
+            f"null-space {what} would take {16 * rows * cols} bytes; "
+            f"the limit is {max_bytes}"
+        )
+
+
+def _null_directions(matrix: np.ndarray, max_bytes=None) -> np.ndarray:
     """Right singular vectors of ``matrix`` whose singular values count as
     zero, as orthonormal columns.  A wide matrix needs the full SVD to
     return all of them; for a tall one the reduced SVD already does, and the
     full one would build a square left factor that is never used."""
     rows, cols = matrix.shape
-    _, sing, vh = np.linalg.svd(matrix, full_matrices=rows < cols)
+    wide = rows < cols
+    # LAPACK's working copy of the matrix, plus the square right factor.
+    _refuse_above(max_bytes, rows + cols if wide else rows, cols, "SVD")
+    _, sing, vh = np.linalg.svd(matrix, full_matrices=wide)
     cut = int(np.count_nonzero(sing > config.SINGULAR_VALUE_TOL))
     return vh[cut:].conj().T
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kron(a: np.ndarray, b: np.ndarray, max_bytes=None) -> np.ndarray:
     """np.kron of two matrices without its per-call overhead, which the
     thousands of 3-qubit verdicts of an ensemble notice."""
-    return np.einsum("tc,ab->tacb", a, b).reshape(a.shape[0] * b.shape[0], -1)
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    _refuse_above(max_bytes, rows, cols, "basis")
+    return np.einsum("tc,ab->tacb", a, b).reshape(rows, cols)
 
 
-def _local_nullspace_basis(instance: QsatInstance) -> tuple[np.ndarray, list[int]]:
+def _local_nullspace_basis(
+    instance: QsatInstance, max_bytes=None
+) -> tuple[np.ndarray, list[int]]:
     """The intersection of the terms' null spaces, kept on the touched qubits.
 
     Returns orthonormal columns L and the qubits T the terms touch, in the
@@ -226,7 +249,8 @@ def _local_nullspace_basis(instance: QsatInstance) -> tuple[np.ndarray, list[int
     value.  A rank-1 term |v><v| acts through <v| (x) I, which has the
     singular values of its image since |v> (x) I is an isometry; a general
     term acts through its image.  L times the kept right singular vectors is
-    again orthonormal.
+    again orthonormal.  Every ``_kron`` and SVD checks its size against
+    ``max_bytes`` first; the contraction is never larger than L.
     """
     touched: list[int] = []
     basis = np.ones((1, 1), dtype=np.complex128)
@@ -245,56 +269,99 @@ def _local_nullspace_basis(instance: QsatInstance) -> tuple[np.ndarray, list[int
         new = [q for q in term.support if q not in touched]
         touched += new
         if len(new) == term.k:
-            basis = _kron(basis, _null_directions(local))
+            basis = _kron(basis, _null_directions(local, max_bytes), max_bytes)
             continue
         if new:
-            basis = _kron(basis, np.eye(1 << len(new)))
+            # Checked before np.eye, which alone holds 4^|new| entries.
+            grow = 1 << len(new)
+            _refuse_above(max_bytes, basis.shape[0] * grow, basis.shape[1] * grow, "basis")
+            basis = _kron(basis, np.eye(grow))
         width = basis.shape[1]
         action = np.tensordot(
             local.reshape((-1,) + (2,) * term.k),
             basis.reshape((2,) * len(touched) + (width,)),
             axes=(range(1, term.k + 1), [touched.index(q) for q in term.support]),
         )
-        basis = basis @ _null_directions(action.reshape(-1, width))
+        basis = basis @ _null_directions(action.reshape(-1, width), max_bytes)
     return basis, touched
 
 
-def common_nullspace_dim(instance: QsatInstance) -> int:
-    """Dimension of the intersection of the terms' null spaces.
+def nullspace_witness(instance: QsatInstance, max_bytes=None):
+    """Dimension of the intersection of the terms' null spaces, and one unit
+    state in it (None when the dimension is 0).
 
-    No eigensolver is involved, which makes this an independent check on
-    ground_energy.
+    The state is the first column of the local basis L on the touched qubits,
+    with every other qubit at |0>.  No eigensolver is involved, which makes
+    this an independent check on ground_energy.  ``max_bytes`` bounds every
+    array the basis builds; a larger one raises CapacityError before it is
+    allocated.
     """
     require_valid(instance)
     n = instance.num_qubits
+    basis, touched = _local_nullspace_basis(instance, max_bytes)
+    dim = basis.shape[1] << (n - len(touched))
+    if not dim:
+        return 0, None
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    _, offsets = kernels.fiber_layout(n, touched)
+    psi[offsets] = basis[:, 0]
+    return dim, psi
+
+
+def common_nullspace_dim(instance: QsatInstance) -> int:
+    """Dimension of the intersection of the terms' null spaces (see
+    ``nullspace_witness``), for registers up to ``config.DENSE_MAX_QUBITS``."""
+    n = instance.num_qubits
     if n > config.DENSE_MAX_QUBITS:
+        require_valid(instance)
         raise CapacityError(
             f"null-space intersection is limited to {config.DENSE_MAX_QUBITS} qubits; "
             "use ground_energy for larger instances"
         )
-    basis, touched = _local_nullspace_basis(instance)
-    return basis.shape[1] << (n - len(touched))
+    return nullspace_witness(instance)[0]
 
 
 def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     """Three-way verdict from the ground energy, with an explicit
     indeterminate band between the satisfiable and unsatisfiable thresholds.
 
-    On small instances the verdict is cross-checked against the null-space
-    oracle; any disagreement downgrades it to indeterminate rather than
-    guessing.
+    With ``method="auto"`` a null-space witness comes first: when one matvec
+    confirms that its energy is within ``sat_tolerance``, the instance is
+    satisfiable (``method="nullspace"``, the witness energy as ``lambda0``,
+    an upper bound on the ground energy) and no eigensolver runs.  Up to
+    ``config.NULLSPACE_CROSSCHECK_CUTOFF`` qubits the basis has no size
+    limit; above it, it may take no more bytes than the Lanczos basis of
+    the Krylov route.  Otherwise the spectral verdict is cross-checked
+    against the null-space dimension, computed on small instances when the
+    witness did not run; any disagreement downgrades it to indeterminate
+    rather than guessing.
     """
+    n = instance.num_qubits
+    m = instance.num_terms
+    nullspace_dim = None
+    if method == "auto" and m and n <= config.max_qubits():
+        max_bytes = None
+        if n > config.NULLSPACE_CROSSCHECK_CUTOFF:
+            max_bytes = config.KRYLOV_NCV * 16 << n
+        try:
+            nullspace_dim, witness = nullspace_witness(instance, max_bytes)
+        except CapacityError:
+            witness = None
+        if witness is not None:
+            energy = kernels.expectation(instance, witness)
+            if energy <= sat_tolerance(m):
+                return SatVerdict(SATISFIABLE, max(energy, 0.0), nullspace_dim, "nullspace")
     result = ground_energy(instance, method=method)
     lam = result.lambda0
-    if lam <= sat_tolerance(instance.num_terms):
+    if lam <= sat_tolerance(m):
         tag = SATISFIABLE
     elif lam >= config.UNSAT_FLOOR:
         tag = UNSATISFIABLE
     else:
         tag = INDETERMINATE
-    nullspace_dim = None
-    if instance.num_qubits <= config.NULLSPACE_CROSSCHECK_CUTOFF:
+    if nullspace_dim is None and n <= config.NULLSPACE_CROSSCHECK_CUTOFF:
         nullspace_dim = common_nullspace_dim(instance)
+    if nullspace_dim is not None:
         if tag == SATISFIABLE and nullspace_dim == 0:
             tag = INDETERMINATE
         elif tag == UNSATISFIABLE and nullspace_dim > 0:

@@ -63,15 +63,25 @@ class TestSolve:
         assert payload["method"] == "krylov"
         assert payload["lambda0"] == pytest.approx(0.21922359359558494, abs=1e-7)
 
-    def test_reports_the_route_that_ran(self, capsys, tmp_path):
+    def test_reports_the_route_that_ran(self, capsys, tmp_path, figure_b):
+        # A checked null-space witness decides satisfiable inputs; the
+        # unsatisfiable ones take the ground-energy route of their size.
         path = tmp_path / "ten.json"
         chain = [qk.singlet_term(q, q + 1) for q in range(0, 10, 2)]
         qk.save_instance(path, qk.QsatInstance(10, chain))
         code, out, _ = run_cli(capsys, "solve", str(path), "--json")
         assert code == 0
-        assert json.loads(out)["method"] == "krylov"
+        assert json.loads(out)["method"] == "nullspace"
         code, out, _ = run_cli(capsys, "solve", "builtin:figure-a", "--json")
         assert code == 0
+        assert json.loads(out)["method"] == "nullspace"
+        padded = tmp_path / "ten-frustrated.json"
+        qk.save_instance(padded, qk.QsatInstance(10, figure_b.terms))
+        code, out, _ = run_cli(capsys, "solve", str(padded), "--json")
+        assert code == 1
+        assert json.loads(out)["method"] == "krylov"
+        code, out, _ = run_cli(capsys, "solve", "builtin:figure-b", "--json")
+        assert code == 1
         assert json.loads(out)["method"] == "dense"
 
     def test_nan_amplitude_file_is_a_usage_error(self, capsys, tmp_path):
@@ -100,16 +110,28 @@ class TestSolve:
         assert payload["verdict"] == "satisfiable"
 
     def test_unexpected_error_exits_internal(self, capsys, monkeypatch):
-        def fail(instance):
+        def fail(instance, max_bytes=None):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(spectral, "common_nullspace_dim", fail)
+        monkeypatch.setattr(spectral, "nullspace_witness", fail)
         code, out, err = run_cli(capsys, "solve", "builtin:figure-a")
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""
         assert err.splitlines() == [
             "error: internal error: LinAlgError: SVD did not converge"
         ]
+
+    def test_non_convergence_reports_the_best_energy(self, capsys, monkeypatch):
+        def fail(instance):
+            raise qk.ConvergenceError("Lanczos iteration did not converge",
+                                      best_lambda0=0.25)
+
+        monkeypatch.setattr(spectral, "_krylov_ground_pair", fail)
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-b", "--method", "krylov")
+        assert code == cli.EXIT_INDETERMINATE == 2
+        assert out == ""
+        assert err.startswith("error: Lanczos iteration did not converge")
+        assert "0.25" in err
 
     def test_krylov_method_on_single_qubit_file(self, capsys, tmp_path):
         path = tmp_path / "blocked.json"

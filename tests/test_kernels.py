@@ -158,6 +158,14 @@ class TestApplier:
         with pytest.raises(qk.DimensionMismatchError):
             qk.InstanceApplier(inst)(np.zeros(4, dtype=np.complex128))
 
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+    @pytest.mark.parametrize("state", [np.complex128(1), np.ones((2, 1, 1))],
+                             ids=["0-d", "3-d"])
+    def test_states_of_other_ranks_are_rejected(self, backend, state):
+        inst = qk.QsatInstance(1, [qk.basis_term((0,), "0")])
+        with pytest.raises(qk.DimensionMismatchError):
+            qk.InstanceApplier(inst, backend=backend)(state)
+
     def test_unknown_backend_is_rejected(self):
         inst = qk.QsatInstance(1, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.ArgumentError):

@@ -20,7 +20,8 @@ from conftest import (
     oracle_matrix,
     random_instance,
 )
-from qsatkit.spectral import _local_nullspace_basis
+from qsatkit import kernels, spectral
+from qsatkit.spectral import _local_nullspace_basis, _null_directions, sat_tolerance
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
 # independent 8x8 eigendecomposition; agrees with (5 - sqrt(17)) / 4.
@@ -32,6 +33,23 @@ def _singlet_chain(num_qubits):
     return qk.QsatInstance(
         num_qubits, [qk.singlet_term(q, q + 1) for q in range(num_qubits - 1)]
     )
+
+
+def _planted_instance(num_qubits, num_terms, k, seed):
+    """Haar rank-1 terms, each projected off one random product state."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    product = rng.standard_normal((num_qubits, 2)) + 1j * rng.standard_normal((num_qubits, 2))
+    product /= np.linalg.norm(product, axis=1, keepdims=True)
+    terms = []
+    for _ in range(num_terms):
+        support = tuple(int(q) for q in rng.choice(num_qubits, size=k, replace=False))
+        local = product[support[0]]
+        for q in support[1:]:
+            local = np.kron(local, product[q])
+        v = rng.standard_normal(1 << k) + 1j * rng.standard_normal(1 << k)
+        v -= np.vdot(local, v) * local
+        terms.append(qk.RankOneTerm(support, v / np.linalg.norm(v)))
+    return qk.QsatInstance(num_qubits, terms)
 
 
 def _register_basis(inst):
@@ -298,9 +316,100 @@ class TestDecideSat:
         with pytest.raises(qk.ValidationError):
             qk.decide_sat(qk.QsatInstance(3, [term]))
 
-    def test_tolerance_scales_with_term_count(self):
-        from qsatkit.spectral import sat_tolerance
+    @given(mixed_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_verdicts_carry_a_checked_witness(self, inst):
+        verdict = qk.decide_sat(inst)
+        m = inst.num_terms
+        dim, psi = qk.nullspace_witness(inst)
+        assert verdict.nullspace_dim == dim == qk.common_nullspace_dim(inst)
+        assert (psi is None) == (dim == 0)
+        if verdict.method != "nullspace":
+            return
+        assert verdict.tag == qk.SATISFIABLE
+        assert 0.0 <= verdict.lambda0 <= sat_tolerance(m)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert qk.expectation(inst, psi) <= sat_tolerance(m)
+        assert np.linalg.norm(oracle_matrix(inst) @ psi) <= 1e-9
+        assert qk.ground_energy(inst, method="dense").lambda0 <= sat_tolerance(m)
 
+    def test_planted_n16_is_decided_without_an_eigensolver(self, monkeypatch):
+        def no_eigensolver(*args, **kwargs):
+            raise AssertionError("the witness route ran an eigensolver")
+
+        monkeypatch.setattr(spectral, "ground_energy", no_eigensolver)
+        inst = _planted_instance(16, 24, k=2, seed=16)
+        verdict = qk.decide_sat(inst)
+        assert verdict.method == "nullspace"
+        assert verdict.tag == qk.SATISFIABLE
+        assert verdict.nullspace_dim >= 1
+        assert 0.0 <= verdict.lambda0 <= sat_tolerance(inst.num_terms)
+
+    def test_byte_refusal_falls_back_to_krylov(self):
+        # A 10-local term after a 2-local one widens the basis by the identity
+        # on 9 new qubits: 2048 x 1536 amplitudes, 48 MiB against the 2 MiB
+        # Lanczos basis of the Krylov route at n = 11.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        inst = qk.QsatInstance(11, [
+            qk.haar_random_term((0, 1), rng),
+            qk.haar_random_term(tuple(range(1, 11)), rng),
+        ])
+        limit = qk.config.KRYLOV_NCV * 16 << inst.num_qubits
+        tracemalloc.start()
+        try:
+            with pytest.raises(qk.CapacityError):
+                qk.nullspace_witness(inst, max_bytes=limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        assert qk.nullspace_witness(inst)[0] >= 1
+        verdict = qk.decide_sat(inst)
+        assert verdict.tag == qk.SATISFIABLE
+        assert verdict.method == "krylov"
+        assert verdict.nullspace_dim is None
+
+    def test_wide_svd_counts_its_right_factor(self):
+        # One row of 64 columns: the full SVD returns a 64 x 64 right factor.
+        wide = np.zeros((1, 64), dtype=np.complex128)
+        wide[0, 0] = 1.0
+        with pytest.raises(qk.CapacityError):
+            _null_directions(wide, max_bytes=16 * 64 * 64)
+        assert _null_directions(wide, max_bytes=16 * 65 * 64).shape == (64, 63)
+
+    def test_limit_starts_above_the_crosscheck_cutoff(self, monkeypatch):
+        limits = []
+        witness = spectral.nullspace_witness
+
+        def refuse_any_limit(instance, max_bytes=None):
+            limits.append(max_bytes)
+            if max_bytes is not None:
+                raise qk.CapacityError("refused")
+            return witness(instance)
+
+        monkeypatch.setattr(spectral, "nullspace_witness", refuse_any_limit)
+        cutoff = qk.config.NULLSPACE_CROSSCHECK_CUTOFF
+        assert qk.decide_sat(_singlet_chain(cutoff)).method == "nullspace"
+        above = qk.decide_sat(_singlet_chain(cutoff + 1))
+        assert (above.tag, above.method, above.nullspace_dim) == (qk.SATISFIABLE, "krylov", None)
+        assert limits == [None, qk.config.KRYLOV_NCV * 16 << (cutoff + 1)]
+
+    def test_failed_witness_check_falls_back(self, monkeypatch, figure_a):
+        # A witness whose energy is too high never becomes a verdict.
+        monkeypatch.setattr(kernels, "expectation", lambda instance, state: 1.0)
+        verdict = qk.decide_sat(figure_a)
+        assert verdict.tag == qk.SATISFIABLE
+        assert verdict.method == "dense"
+        assert verdict.nullspace_dim == 2
+
+    def test_forced_routes_skip_the_witness(self, figure_a):
+        for method in ("dense", "krylov"):
+            verdict = qk.decide_sat(figure_a, method=method)
+            assert verdict.method == method
+            assert verdict.tag == qk.SATISFIABLE
+            assert verdict.nullspace_dim == 2
+
+    def test_tolerance_scales_with_term_count(self):
         assert sat_tolerance(400) == 400 * 1e-9
         assert sat_tolerance(0) == 1e-9
         # Many stacked copies of a satisfiable projector must stay sat.
