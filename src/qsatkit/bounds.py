@@ -32,9 +32,12 @@ class BoundReport:
 
 
 def bound_report(k: int) -> BoundReport:
-    """All four bound values at locality k (k >= 1)."""
+    """All four bound values at locality k (1 <= k <= 1022)."""
     if k < 1:
         raise ArgumentError("locality must be at least 1")
+    if k > 1022:
+        # 2^(k+1) must convert to a float.
+        raise ArgumentError(f"locality must be at most 1022, got {k}")
     qlll_lower = math.floor((1 << k) / (math.e * k))
     gebauer_lower = math.floor((1 << (k + 1)) / (math.e * (k + 1)))
     gebauer_upper_estimate = (1 << (k + 1)) / (math.e * k)

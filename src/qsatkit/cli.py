@@ -27,7 +27,7 @@ from .errors import (
     QsatError,
     ValidationError,
 )
-from .instance import degree_profile, locality, require_valid, structure_key
+from .instance import degree_profile, locality, structure_key
 
 EXIT_SATISFIABLE = 0
 EXIT_UNSATISFIABLE = 1
@@ -50,11 +50,8 @@ BUILTIN_PREFIX = "builtin:"
 
 def _load_instance(path: str):
     if path.startswith(BUILTIN_PREFIX):
-        instance = catalog.builtin_instance(path[len(BUILTIN_PREFIX):])
-    else:
-        instance = io_mod.load_instance(path)
-    require_valid(instance)
-    return instance
+        return catalog.builtin_instance(path[len(BUILTIN_PREFIX):])
+    return io_mod.load_instance(path)
 
 
 def _structure_hash(instance) -> str:

@@ -6,7 +6,7 @@ class QsatError(Exception):
 
 
 class ValidationError(QsatError):
-    """An operation received an instance that fails its invariants."""
+    """An instance, or a construction built from one, fails its invariants."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -8,10 +8,11 @@ Conventions used everywhere in the library:
 * The full 2^n space is likewise big-endian over qubits 0..n-1 (qubit 0 is
   the most significant bit of a basis index).
 
-All types are immutable after construction and safe to share; construction
-performs only structural coercion, while invariant checking lives in
-:func:`validate` so that broken instances can be built, inspected and
-reported on.
+All types are immutable after construction and safe to share.  The
+instance types check their invariants once, when they are built, and raise
+rather than exist invalid; terms are checked as part of the instance that
+holds them.  A :class:`QsatInstance` that exists has passed :func:`validate`,
+so no operation checks it again.
 """
 
 from collections import Counter
@@ -99,9 +100,10 @@ class GeneralTerm:
 class QsatInstance:
     """n qubits, a list of projector terms, and a promise gap epsilon.
 
-    The promise gap is carried as data only; no operation rejects an
-    instance because of it. Solver verdicts report it alongside the
-    computed ground energy.
+    Construction raises ValidationError unless :func:`validate` passes.
+    Beyond being positive, the promise gap is carried as data only; no
+    operation rejects an instance because of it. Solver verdicts report it
+    alongside the computed ground energy.
     """
 
     num_qubits: int
@@ -112,6 +114,7 @@ class QsatInstance:
         object.__setattr__(self, "num_qubits", int(self.num_qubits))
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "promise_gap", float(self.promise_gap))
+        validate(self)
 
     @property
     def num_terms(self) -> int:
@@ -222,15 +225,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple = ()
+    """The violations of an instance that failed :func:`validate`."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    violations: tuple
 
     def __str__(self):
-        if self.ok:
-            return "valid"
         return "; ".join(
             f"term {v.term_index}: {v.message}" if v.term_index is not None
             else v.message
@@ -247,10 +246,10 @@ class DegreeProfile:
     is_regular: bool
 
 
-def validate(instance: QsatInstance, max_support: int | None = None) -> ValidationReport:
-    """Check every invariant of an instance; violations are data, not errors."""
-    if max_support is None:
-        max_support = config.max_qubits()
+def validate(instance: QsatInstance) -> None:
+    """Raise ValidationError, carrying the itemized report, unless every
+    invariant holds; ``QsatInstance`` calls it once, on construction."""
+    max_support = config.max_qubits()
     violations = []
     if instance.num_qubits < 1:
         violations.append(Violation(None, "num_qubits must be positive"))
@@ -260,7 +259,9 @@ def validate(instance: QsatInstance, max_support: int | None = None) -> Validati
         violations.extend(
             Violation(i, msg) for msg in _term_violations(term, instance.num_qubits, max_support)
         )
-    return ValidationReport(tuple(violations))
+    if violations:
+        report = ValidationReport(tuple(violations))
+        raise ValidationError(f"invalid instance: {report}", report=report)
 
 
 def _term_violations(term, num_qubits, max_support):
@@ -302,16 +303,8 @@ def _term_violations(term, num_qubits, max_support):
     return msgs
 
 
-def require_valid(instance: QsatInstance) -> None:
-    """Raise ValidationError unless the instance passes every invariant."""
-    report = validate(instance)
-    if not report.ok:
-        raise ValidationError(f"invalid instance: {report}", report=report)
-
-
 def degree_profile(instance: QsatInstance) -> DegreeProfile:
     """Count, for each qubit, the terms acting non-trivially on it."""
-    require_valid(instance)
     counts = [0] * instance.num_qubits
     for term in instance.terms:
         for q in term.support:
@@ -323,7 +316,6 @@ def degree_profile(instance: QsatInstance) -> DegreeProfile:
 
 def locality(instance: QsatInstance) -> int:
     """The maximum support size over terms; 0 for an empty instance."""
-    require_valid(instance)
     return max((len(t.support) for t in instance.terms), default=0)
 
 

@@ -15,6 +15,11 @@ Amplitudes are [real, imaginary] pairs written with shortest-round-trip
 decimal precision, so parse(serialize(x)) reproduces x bit-exactly for
 finite values.  Unknown top-level keys are tolerated (reduction outputs
 carry extra annotations); unknown required-field types are not.
+
+A malformed document raises ``ParseError``.  A well-formed one that
+describes an invalid instance (a qubit out of range or repeated, a
+non-finite or unnormalized amplitude, ``num_qubits`` or ``epsilon`` not
+positive) raises ``ValidationError`` from the ``QsatInstance`` it builds.
 """
 
 import json

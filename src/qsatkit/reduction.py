@@ -36,7 +36,6 @@ from .instance import (
     RankOneTerm,
     degree_profile,
     locality,
-    require_valid,
 )
 from .spectral import (
     INDETERMINATE,
@@ -385,7 +384,6 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
     otherwise; the adjusted promise gap is min(gap, c_k).  Construction has
     no size ceiling — only verification does.
     """
-    require_valid(q)
     if target_k < 1:
         raise ArgumentError("target locality must be positive")
     if any(not isinstance(t, RankOneTerm) for t in q.terms):
@@ -462,9 +460,7 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     spectral items need both instances within ``config.DENSE_MAX_QUBITS``;
     their ground energies take the ``auto`` route.
     """
-    require_valid(q)
     t = out.t_instance
-    require_valid(t)
     dummies = {i for i, role in enumerate(out.role_map) if role == ROLE_DUMMY}
     commutation_ok = all(
         _z_commutes(term, qubit)

@@ -38,7 +38,7 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
 )
-from .instance import GeneralTerm, QsatInstance, RankOneTerm, require_valid
+from .instance import GeneralTerm, QsatInstance, RankOneTerm
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -78,7 +78,6 @@ def assemble_dense(instance: QsatInstance) -> np.ndarray:
     term; one fancy-indexed addition per term scatters the term matrix onto
     all fibers at once.
     """
-    require_valid(instance)
     n = instance.num_qubits
     if n > config.DENSE_MAX_QUBITS:
         raise CapacityError(
@@ -166,7 +165,6 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
     Instances with no terms short-circuit to energy 0 on the all-zeros basis
     state, reported under the route that would have run.
     """
-    require_valid(instance)
     n = instance.num_qubits
     if n > config.max_qubits():
         raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
@@ -296,7 +294,6 @@ def nullspace_witness(instance: QsatInstance, max_bytes=None):
     array the basis builds; a larger one raises CapacityError before it is
     allocated.
     """
-    require_valid(instance)
     n = instance.num_qubits
     basis, touched = _local_nullspace_basis(instance, max_bytes)
     dim = basis.shape[1] << (n - len(touched))
@@ -313,7 +310,6 @@ def common_nullspace_dim(instance: QsatInstance) -> int:
     ``nullspace_witness``), for registers up to ``config.DENSE_MAX_QUBITS``."""
     n = instance.num_qubits
     if n > config.DENSE_MAX_QUBITS:
-        require_valid(instance)
         raise CapacityError(
             f"null-space intersection is limited to {config.DENSE_MAX_QUBITS} qubits; "
             "use ground_energy for larger instances"
@@ -410,7 +406,6 @@ def restricted_ground_energy(instance: QsatInstance, fixed) -> float:
     ``fixed`` maps qubit index -> bit value; the operator is assembled
     densely and restricted to the matching principal submatrix.
     """
-    require_valid(instance)
     n = instance.num_qubits
     qmat = assemble_dense(instance)
     idx = np.arange(1 << n)

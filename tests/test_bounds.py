@@ -55,6 +55,15 @@ class TestBoundReport:
         with pytest.raises(qk.ArgumentError):
             qk.bound_report(-3)
 
+    def test_widest_width_is_1022(self):
+        # 2^(k+1) must convert to a float; k = 1023 would overflow it.
+        report = qk.bound_report(1022)
+        assert report.gebauer_upper_estimate == pytest.approx(2.0**1023 / (math.e * 1022))
+        assert report.qlll_lower == math.floor(2.0**1022 / (math.e * 1022))
+        for k in (1023, 1024, 10**6):
+            with pytest.raises(qk.ArgumentError, match="at most 1022"):
+                qk.bound_report(k)
+
 
 class TestThresholdCheck:
     def test_flips_exactly_at_fifteen(self):

@@ -313,6 +313,14 @@ class TestBounds:
         assert code == 3
         assert "error:" in err
 
+    def test_widths_past_float_range(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "1022")
+        assert code == 0
+        assert "tovey_lower: 1022" in out
+        code, _, err = run_cli(capsys, "bounds", "1023")
+        assert code == 3
+        assert err.splitlines() == ["error: locality must be at most 1022, got 1023"]
+
 
 class TestSample:
     def test_builtin_structure(self, capsys):

@@ -40,75 +40,105 @@ class TestRankOneTerm:
 
 
 class TestValidate:
+    """A QsatInstance checks its invariants once, on construction, and an
+    invalid one is never built: its violations travel on the error."""
+
+    @staticmethod
+    def violations(*args, **kwargs):
+        with pytest.raises(qk.ValidationError) as exc:
+            qk.QsatInstance(*args, **kwargs)
+        return exc.value.report.violations
+
     def test_clean_instance_has_empty_report(self, figure_b):
-        report = qk.validate(figure_b)
-        assert report.ok
-        assert report.violations == ()
+        assert qk.instance.validate(figure_b) is None
 
     def test_norm_violation_is_reported_with_term_index(self):
-        bad = qk.QsatInstance(2, [qk.RankOneTerm((0,), [0.5, 0.0])])
-        report = qk.validate(bad)
-        assert not report.ok
-        assert report.violations[0].term_index == 0
-        assert "norm" in report.violations[0].message
+        violations = self.violations(2, [qk.RankOneTerm((0,), [0.5, 0.0])])
+        assert violations[0].term_index == 0
+        assert "norm" in violations[0].message
 
     def test_support_out_of_range(self):
-        inst = qk.QsatInstance(2, [qk.basis_term((0, 2), "00")])
-        report = qk.validate(inst)
-        assert any(v.term_index == 0 for v in report.violations)
+        violations = self.violations(2, [qk.basis_term((0, 2), "00")])
+        assert any(v.term_index == 0 for v in violations)
 
     def test_duplicate_support_entry(self):
-        inst = qk.QsatInstance(3, [qk.basis_term((1, 1), "00")])
-        assert not qk.validate(inst).ok
+        assert self.violations(3, [qk.basis_term((1, 1), "00")])
 
-    def test_support_size_cap(self):
-        inst = qk.QsatInstance(4, [qk.basis_term((0, 1, 2), "000")])
-        assert qk.validate(inst, max_support=3).ok
-        assert not qk.validate(inst, max_support=2).ok
+    def test_support_size_cap(self, monkeypatch):
+        terms = [qk.basis_term((0, 1, 2), "000")]
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "3")
+        qk.QsatInstance(4, terms)
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "2")
+        assert [v.message for v in self.violations(4, terms)] == [
+            "support size 3 exceeds limit 2"
+        ]
 
     def test_general_term_must_be_hermitian(self):
         mat = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-        inst = qk.QsatInstance(1, [qk.GeneralTerm((0,), mat)])
-        report = qk.validate(inst)
-        assert any("ermitian" in v.message for v in report.violations)
+        violations = self.violations(1, [qk.GeneralTerm((0,), mat)])
+        assert any("ermitian" in v.message for v in violations)
 
     def test_general_term_must_be_idempotent(self):
         mat = np.diag([2.0, 0.0]).astype(np.complex128)
-        inst = qk.QsatInstance(1, [qk.GeneralTerm((0,), mat)])
-        report = qk.validate(inst)
+        violations = self.violations(1, [qk.GeneralTerm((0,), mat)])
         assert any("projector" in v.message or "idempotent" in v.message
-                   for v in report.violations)
+                   for v in violations)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_amplitude_is_a_violation(self, bad):
-        inst = qk.QsatInstance(2, [qk.RankOneTerm((0, 1), [bad, 1.0, 0.0, 0.0])])
-        report = qk.validate(inst)
-        assert not report.ok
-        assert report.violations[0].term_index == 0
-        assert "non-finite" in report.violations[0].message
+        violations = self.violations(2, [qk.RankOneTerm((0, 1), [bad, 1.0, 0.0, 0.0])])
+        assert violations[0].term_index == 0
+        assert "non-finite" in violations[0].message
 
     def test_non_finite_matrix_entry_is_a_violation(self):
         mat = np.diag([1.0, math.nan]).astype(np.complex128)
-        report = qk.validate(qk.QsatInstance(1, [qk.GeneralTerm((0,), mat)]))
-        assert [v.message for v in report.violations] == [
-            "matrix contains non-finite values"
-        ]
+        violations = self.violations(1, [qk.GeneralTerm((0,), mat)])
+        assert [v.message for v in violations] == ["matrix contains non-finite values"]
 
     def test_instance_level_violations(self):
-        report = qk.validate(qk.QsatInstance(0, []))
-        assert not report.ok
-        report = qk.validate(qk.QsatInstance(1, [], promise_gap=0.0))
-        assert not report.ok
+        assert [v.message for v in self.violations(0, [])] == [
+            "num_qubits must be positive"
+        ]
+        assert [v.message for v in self.violations(1, [], promise_gap=0.0)] == [
+            "promise_gap must be positive"
+        ]
 
-    def test_require_valid_raises_with_report(self):
-        bad = qk.QsatInstance(2, [qk.RankOneTerm((0,), [0.5, 0.0])])
+    def test_invalid_instance_raises_with_report(self):
         with pytest.raises(qk.ValidationError) as exc:
-            qk.require_valid(bad)
-        assert exc.value.report is not None
-        assert not exc.value.report.ok
+            qk.QsatInstance(2, [qk.RankOneTerm((0,), [0.5, 0.0])])
+        assert [v.term_index for v in exc.value.report.violations] == [0]
+        assert str(exc.value) == f"invalid instance: {exc.value.report}"
 
-    def test_require_valid_accepts_clean_instances(self, figure_a):
-        qk.require_valid(figure_a)
+    def test_clean_instances_construct(self, figure_a):
+        rebuilt = qk.QsatInstance(figure_a.num_qubits, figure_a.terms, figure_a.promise_gap)
+        assert rebuilt == figure_a
+
+
+class TestValidateOnce:
+    """Operations trust an instance that exists: only construction validates."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        original = qk.instance.validate
+
+        def counting(instance):
+            calls.append(instance)
+            original(instance)
+
+        monkeypatch.setattr(qk.instance, "validate", counting)
+        return calls
+
+    def test_a_dense_verdict_does_not_validate(self, figure_b, calls):
+        verdict = qk.decide_sat(figure_b)
+        assert (verdict.tag, verdict.method) == (qk.UNSATISFIABLE, "dense")
+        assert calls == []
+
+    def test_an_ensemble_validates_once_per_trial(self, calls):
+        num_qubits, supports = qk.triangle_double_structure()
+        result = qk.sample_ensemble(num_qubits, supports, trials=7, seed=3)
+        assert result.trials == 7
+        assert len(calls) == 7
 
 
 class TestDegreeProfile:

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsatkit as qk
+from qsatkit import cli
 from qsatkit import io as qio
 
 from conftest import random_instance
@@ -129,6 +136,95 @@ class TestParseErrors:
         doc = document_of(figure_a)
         doc["comment"] = "hand-annotated"
         assert qio.document_to_instance(doc) == figure_a
+
+
+# Values of the wrong type for each field; none of them can be read as valid.
+WRONG_TYPES = {
+    "format_version": ["1", 1.5, True, None, [1], 2],
+    "num_qubits": ["3", 3.0, True, None, [], {}],
+    "epsilon": ["1.0", True, None, [], {}],
+    "projectors": [{}, "x", 1, None],
+    "projector": [[], "x", 1, None],
+    "qubits": ["0", 0, {}, None, [], [0.5], ["0"], [True], [None]],
+    "amplitudes": ["x", 0, {}, None],
+    "pair": [[1.0], [1.0, 0.0, 0.0], "x", 1.0, None, ["0", 0.0], [None, 0.0], [True, 0.0]],
+}
+
+
+@st.composite
+def malformed_documents(draw):
+    """The document of a valid instance with one defect that makes it
+    unreadable or describes an invalid instance."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 1 << 30))))
+    inst = random_instance(rng, num_qubits=n, num_terms=draw(st.integers(1, 4)),
+                           k=draw(st.integers(1, n)))
+    doc = document_of(inst)
+    projectors = doc["projectors"]
+    at = draw(st.integers(0, len(projectors) - 1))
+    entry = projectors[at]
+    qubits, amplitudes = entry["qubits"], entry["amplitudes"]
+    defect = draw(st.sampled_from([
+        "drop key", "wrong type", "qubit out of range", "repeated qubit",
+        "non-finite amplitude", "amplitude length", "num_qubits", "epsilon",
+    ]))
+    if defect == "drop key":
+        key = draw(st.sampled_from(
+            ["format_version", "num_qubits", "epsilon", "projectors", "qubits", "amplitudes"]))
+        del (entry if key in entry else doc)[key]
+    elif defect == "wrong type":
+        field = draw(st.sampled_from(sorted(WRONG_TYPES)))
+        value = draw(st.sampled_from(WRONG_TYPES[field]))
+        if field == "projector":
+            projectors[at] = value
+        elif field == "pair":
+            amplitudes[draw(st.integers(0, len(amplitudes) - 1))] = value
+        else:
+            (entry if field in entry else doc)[field] = value
+    elif defect == "qubit out of range":
+        qubits[draw(st.integers(0, len(qubits) - 1))] = draw(
+            st.one_of(st.integers(n, n + 5), st.integers(-5, -1)))
+    elif defect == "repeated qubit":
+        # One more qubit, a copy of an existing one; zero amplitudes on it
+        # keep the norm, so the repetition is the only defect.
+        qubits.append(draw(st.sampled_from(qubits)))
+        amplitudes.extend([[0.0, 0.0]] * len(amplitudes))
+    elif defect == "non-finite amplitude":
+        pair = amplitudes[draw(st.integers(0, len(amplitudes) - 1))]
+        pair[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif defect == "amplitude length":
+        if draw(st.booleans()):
+            amplitudes.append([0.0, 0.0])
+        else:
+            amplitudes.pop()
+    elif defect == "num_qubits":
+        doc["num_qubits"] = draw(st.integers(-3, 0))
+    else:
+        doc["epsilon"] = draw(st.sampled_from([0.0, -0.5, -math.inf, math.nan]))
+    return doc
+
+
+class TestMalformedDocuments:
+    @given(malformed_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_only_parse_or_validation_errors(self, doc):
+        with pytest.raises((qk.ParseError, qk.ValidationError)):
+            qk.parse_instance(json.dumps(doc))
+
+    @given(malformed_documents())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_exits_with_one_error_line(self, doc):
+        out, err = StringIO(), StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "malformed.json"
+            path.write_text(json.dumps(doc))
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["solve", str(path)])
+        assert code == cli.EXIT_USAGE == 3
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "internal error" not in lines[0]
 
 
 class TestSaveReduction:

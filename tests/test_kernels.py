@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,10 +148,12 @@ class TestApplier:
     def test_compiled_plans_must_fit_the_register(self, compiled_library, monkeypatch,
                                                   support, fiber):
         # Out-of-range and repeated qubits, and a payload shorter than the fiber.
+        # A QsatInstance refuses these terms itself, so a stand-in with the two
+        # attributes the applier reads carries them to the plan check.
         monkeypatch.setattr(kernels, "_compiled", compiled_library)
         amplitudes = np.zeros(fiber)
         amplitudes[0] = 1.0
-        inst = qk.QsatInstance(3, [qk.RankOneTerm(support, amplitudes)])
+        inst = SimpleNamespace(num_qubits=3, terms=(qk.RankOneTerm(support, amplitudes),))
         with pytest.raises(qk.ArgumentError):
             qk.InstanceApplier(inst, backend="compiled")
 

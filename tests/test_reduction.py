@@ -83,7 +83,7 @@ class TestEncodeQudits:
         enc = qk.encode_qudits(
             qk.QuditInstance(2, 3, [((0, 1), qudit_projector(9, 3))])
         )
-        assert qk.validate(enc).ok
+        qk.instance.validate(enc)
 
     def test_satisfiability_is_preserved(self):
         forbid_top = qk.QuditInstance(1, 3, [((0,), np.diag([0, 0, 1.0]).astype(complex))])
@@ -441,9 +441,12 @@ class TestBuildReduction:
             qk.build_reduction(q, 2, figure_b_core)
 
     def test_rejects_invalid_instances(self, figure_b_core):
-        q = qk.QsatInstance(1, [qk.RankOneTerm((0,), [0.5, 0.0])])
-        with pytest.raises(qk.ValidationError):
-            qk.build_reduction(q, 2, figure_b_core)
+        # An invalid instance is refused when it is built, before any reduction.
+        with pytest.raises(qk.ValidationError) as exc:
+            qk.build_reduction(qk.QsatInstance(1, [qk.RankOneTerm((0,), [0.5, 0.0])]), 2,
+                               figure_b_core)
+        assert [v.term_index for v in exc.value.report.violations] == [0]
+        assert "norm" in exc.value.report.violations[0].message
 
     def test_construction_has_no_size_ceiling(self, figure_a, figure_b_core):
         out = qk.build_reduction(figure_a, 3, figure_b_core)
