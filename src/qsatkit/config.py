@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ArgumentError
+
 DEFAULT_MAX_QUBITS = 20
 
 # Largest instance that method="auto" (ground_energy, decide_sat)
@@ -59,4 +61,9 @@ KRYLOV_SEED = 0x6A09E667  # fixed start-vector seed: deterministic iterations
 def max_qubits() -> int:
     """Global qubit ceiling; the QSAT_MAX_QUBITS env var overrides it."""
     value = os.environ.get("QSAT_MAX_QUBITS")
-    return int(value) if value else DEFAULT_MAX_QUBITS
+    if not value:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(value)
+    except ValueError:
+        raise ArgumentError(f"QSAT_MAX_QUBITS must be an integer, got {value!r}") from None

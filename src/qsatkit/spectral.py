@@ -16,13 +16,19 @@ n = 8-10 on qsatbench-style planted, frustrated and Haar instances (one
 OpenBLAS thread), where a 2^n-row basis took 0.6-0.7 s at n = 10.  It
 decides too: ``decide_sat(method="auto")`` first embeds one basis vector
 into the register as a witness and accepts it as a satisfiable verdict when
-one matvec confirms its energy, so a satisfiable instance needs no
-eigensolver (an n = 15 planted verdict took about 40 ms against seconds of
-Lanczos).  Otherwise it cross-checks the spectral verdict.
+its energy, summed term by term over the fibers, is within tolerance, so a
+satisfiable instance needs no eigensolver (an n = 15 planted verdict took
+about 40 ms against seconds of Lanczos).  Otherwise it cross-checks the
+spectral verdict.
 
 ``method="auto"`` takes the dense route up to ``config.DENSE_CUTOFF`` qubits
 and Krylov beyond; no dense routine accepts more than
 ``config.DENSE_MAX_QUBITS`` qubits.
+
+The null-space code, the witness energy and dense assembly work on stacks of
+instances that share one structure, with a leading instance axis; a single
+instance is a stack of one.  ``_decide_stack`` runs ``auto``'s dense-side
+route on a whole stack, which is how ``sample_ensemble`` decides its trials.
 """
 
 from dataclasses import dataclass
@@ -72,23 +78,30 @@ def sat_tolerance(num_terms: int) -> float:
 
 
 def assemble_dense(instance: QsatInstance) -> np.ndarray:
-    """The full 2^n x 2^n operator, built by embedding each term's matrix.
-
-    ``kernels.fiber_layout`` lists the register indices of every fiber of a
-    term; one fancy-indexed addition per term scatters the term matrix onto
-    all fibers at once.
-    """
+    """The full 2^n x 2^n operator, built by embedding each term's matrix."""
     n = instance.num_qubits
     if n > config.DENSE_MAX_QUBITS:
         raise CapacityError(
             f"dense assembly is limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
         )
-    dim = 1 << n
-    q = np.zeros((dim, dim), dtype=np.complex128)
-    for term in instance.terms:
-        bases, offsets = kernels.fiber_layout(n, term.support)
+    return _assemble_stack(n, instance.supports(), [t.dense()[None] for t in instance.terms])[0]
+
+
+def _assemble_stack(num_qubits, supports, matrices):
+    """The operators of a stack of instances on one structure, shape
+    (T, 2^n, 2^n); ``matrices[j]`` holds term j's matrix in every instance,
+    shape (T, 2^k, 2^k).  No terms give a stack of one zero operator.
+
+    ``kernels.fiber_layout`` lists the register indices of every fiber of a
+    term; one fancy-indexed addition per term scatters the term matrices onto
+    all fibers of all instances at once.
+    """
+    dim = 1 << num_qubits
+    q = np.zeros((len(matrices[0]) if matrices else 1, dim, dim), dtype=np.complex128)
+    for support, matrix in zip(supports, matrices):
+        bases, offsets = kernels.fiber_layout(num_qubits, support)
         idx = bases[:, None] + offsets
-        q[idx[:, :, None], idx[:, None, :]] += term.dense()
+        q[:, idx[:, :, None], idx[:, None, :]] += matrix[:, None]
     return q
 
 
@@ -99,7 +112,19 @@ def _start_vector(dim: int) -> np.ndarray:
 
 
 def _dense_ground_pair(instance):
-    qmat = assemble_dense(instance)
+    return _lowest_pair(assemble_dense(instance))
+
+
+def _lowest_pair(qmat):
+    """The lowest eigenpair of a dense Hermitian operator, and its residual.
+
+    LAPACK computes that one pair only.  A stack of operators goes through
+    here one at a time: a stacked ``np.linalg.eigh`` computes every pair and
+    was faster only at 8 x 8 (one OpenBLAS thread: 9.2 against 19.7 ms for
+    500 operators), slower from 16 x 16 up (19.8 against 15.4 ms for 250 at
+    n = 4, 222 against 54 ms for one at n = 9); with it, a sampled trial on
+    an 8-qubit structure took 18.4 ms, against 9.7 ms decided alone.
+    """
     vals, vecs = scipy.linalg.eigh(qmat, subset_by_index=[0, 0])
     vec = vecs[:, 0]
     residual = float(np.linalg.norm(qmat @ vec - vals[0] * vec))
@@ -185,13 +210,19 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
         lam, vec, residual = _dense_ground_pair(instance)
     else:
         lam, vec, residual = _krylov_ground_pair(instance)
+    _check_residual(lam, vec, residual)
+    return SpectralResult(lam, lam / m, vec, method, residual)
+
+
+def _check_residual(lam, vec, residual):
+    """Raise ConvergenceError, carrying the pair as the best iterate, when a
+    ground pair's residual exceeds ``config.RESIDUAL_TOL``."""
     if residual > config.RESIDUAL_TOL:
         raise ConvergenceError(
             f"ground-state residual {residual:.3e} exceeds {config.RESIDUAL_TOL:.1e}",
             best_lambda0=lam,
             best_vector=vec,
         )
-    return SpectralResult(lam, lam / m, vec, method, residual)
 
 
 def full_spectrum(instance: QsatInstance) -> np.ndarray:
@@ -209,79 +240,147 @@ def _refuse_above(max_bytes, rows, cols, what):
         )
 
 
-def _null_directions(matrix: np.ndarray, max_bytes=None) -> np.ndarray:
-    """Right singular vectors of ``matrix`` whose singular values count as
-    zero, as orthonormal columns.  A wide matrix needs the full SVD to
-    return all of them; for a tall one the reduced SVD already does, and the
-    full one would build a square left factor that is never used."""
-    rows, cols = matrix.shape
+def _null_directions(stack: np.ndarray, max_bytes=None):
+    """Right singular vectors of each matrix of a stack (T, rows, cols) whose
+    singular values count as zero, as orthonormal columns.
+
+    Returns ``(directions, agree)``: ``agree`` marks the matrices with as many
+    zero singular values as the most common count, and ``directions`` holds
+    theirs, shape (agreeing T, cols, width).  A wide matrix needs the full
+    SVD to return all of them; for a tall one the reduced SVD already does,
+    and the full one would build a square left factor that is never used.
+    ``max_bytes`` bounds each matrix's arrays.
+    """
+    _, rows, cols = stack.shape
     wide = rows < cols
     # LAPACK's working copy of the matrix, plus the square right factor.
     _refuse_above(max_bytes, rows + cols if wide else rows, cols, "SVD")
-    _, sing, vh = np.linalg.svd(matrix, full_matrices=wide)
-    cut = int(np.count_nonzero(sing > config.SINGULAR_VALUE_TOL))
-    return vh[cut:].conj().T
+    _, sing, vh = np.linalg.svd(stack, full_matrices=wide)
+    cuts = (sing > config.SINGULAR_VALUE_TOL).sum(axis=1)
+    cut = np.bincount(cuts).argmax()
+    agree = cuts == cut
+    if not agree.all():
+        vh = vh[agree]
+    return vh[:, cut:].conj().swapaxes(1, 2), agree
 
 
 def _kron(a: np.ndarray, b: np.ndarray, max_bytes=None) -> np.ndarray:
-    """np.kron of two matrices without its per-call overhead, which the
-    thousands of 3-qubit verdicts of an ensemble notice."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    """np.kron of matching matrices of two stacks (a stack of one
+    broadcasts) without its per-call overhead, which the thousands of
+    3-qubit verdicts of an ensemble notice."""
+    rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
     _refuse_above(max_bytes, rows, cols, "basis")
-    return np.einsum("tc,ab->tacb", a, b).reshape(rows, cols)
+    stack = max(len(a), len(b))
+    return np.einsum("...tc,...ab->...tacb", a, b).reshape(stack, rows, cols)
 
 
-def _local_nullspace_basis(
-    instance: QsatInstance, max_bytes=None
-) -> tuple[np.ndarray, list[int]]:
-    """The intersection of the terms' null spaces, kept on the touched qubits.
+def _actions(terms) -> list:
+    """Each term as a stack of one operator A whose kernel is the term's
+    null space and with A^H A the term's projector: the row <v| of a rank-1
+    term |v><v|, the matrix of a general term."""
+    return [
+        np.asarray(t.amplitudes).conj()[None, None, :] if isinstance(t, RankOneTerm)
+        else np.asarray(t.matrix)[None]
+        for t in terms
+    ]
 
-    Returns orthonormal columns L and the qubits T the terms touch, in the
-    order of L's row bits (first most significant); the intersection is
-    span(L (x) I) with the identity on the other qubits.  L starts as the
-    1 x 1 identity on no qubits.  The next term is the one that adds the
-    fewest qubits to T (the earliest on ties).  A term on new qubits only
-    tensors L with its own null space.  Otherwise L is tensored with the
-    identity on the term's new qubits, the term is contracted over its
-    support axes, and L keeps the right singular vectors with zero singular
-    value.  A rank-1 term |v><v| acts through <v| (x) I, which has the
-    singular values of its image since |v> (x) I is an isometry; a general
-    term acts through its image.  L times the kept right singular vectors is
-    again orthonormal.  Every ``_kron`` and SVD checks its size against
+
+def _local_nullspace_basis(supports, actions, max_bytes=None):
+    """The intersection of the terms' null spaces, kept on the touched qubits,
+    for a stack of instances on one structure.
+
+    ``actions[j]`` holds term j's operator (see ``_actions``) in every
+    instance, with a leading stack axis of length T.  Returns
+    ``(L, touched, kept)``: ``kept`` indexes the instances decided here,
+    L holds one orthonormal basis per kept instance, shape
+    (len(kept), 2^len(touched), width), and ``touched`` lists the qubits the
+    terms touch, in the order of L's row bits (first most significant); the
+    intersection is span(L (x) I) with the identity on the other qubits.
+
+    L starts as the 1 x 1 identity on no qubits.  The next term is the one
+    that adds the fewest qubits to T (the earliest on ties), an order that
+    depends on the supports only and so serves the whole stack.  A term on
+    new qubits only tensors L with its own null space.  Otherwise L is
+    tensored with the identity on the term's new qubits, the term is
+    contracted over its support axes, and L keeps the right singular vectors
+    with zero singular value.  A rank-1 term |v><v| acts through <v| (x) I,
+    which has the singular values of its image since |v> (x) I is an
+    isometry; a general term acts through its image.  L times the kept right
+    singular vectors is again orthonormal.  An instance whose count of zero
+    singular values differs from the stack's most common one leaves the
+    stack and is not in ``kept``; a stack of one never loses its instance.
+    Every ``_kron`` and SVD checks its per-instance size against
     ``max_bytes`` first; the contraction is never larger than L.
     """
+    count = len(actions[0]) if actions else 1
+    kept = np.arange(count)
     touched: list[int] = []
-    basis = np.ones((1, 1), dtype=np.complex128)
-    pending = list(instance.terms)
-    while pending and basis.shape[1]:
-        term = pending.pop(
+    basis = np.ones((count, 1, 1), dtype=np.complex128)
+    pending = list(range(len(supports)))
+    while pending and basis.shape[2]:
+        j = pending.pop(
             min(
                 range(len(pending)),
-                key=lambda i: sum(q not in touched for q in pending[i].support),
+                key=lambda i: sum(q not in touched for q in supports[pending[i]]),
             )
         )
-        if isinstance(term, RankOneTerm):
-            local = np.asarray(term.amplitudes).conj()[None, :]
-        else:
-            local = np.asarray(term.matrix)
-        new = [q for q in term.support if q not in touched]
+        support = supports[j]
+        local = actions[j] if len(kept) == count else actions[j][kept]
+        new = [q for q in support if q not in touched]
         touched += new
-        if len(new) == term.k:
-            basis = _kron(basis, _null_directions(local, max_bytes), max_bytes)
-            continue
-        if new:
-            # Checked before np.eye, which alone holds 4^|new| entries.
-            grow = 1 << len(new)
-            _refuse_above(max_bytes, basis.shape[0] * grow, basis.shape[1] * grow, "basis")
-            basis = _kron(basis, np.eye(grow))
-        width = basis.shape[1]
-        action = np.tensordot(
-            local.reshape((-1,) + (2,) * term.k),
-            basis.reshape((2,) * len(touched) + (width,)),
-            axes=(range(1, term.k + 1), [touched.index(q) for q in term.support]),
-        )
-        basis = basis @ _null_directions(action.reshape(-1, width), max_bytes)
-    return basis, touched
+        if len(new) == len(support):
+            null, agree = _null_directions(local, max_bytes)
+        else:
+            if new:
+                # Checked before np.eye, which alone holds 4^|new| entries.
+                grow = 1 << len(new)
+                _refuse_above(max_bytes, basis.shape[1] * grow, basis.shape[2] * grow, "basis")
+                basis = _kron(basis, np.eye(grow)[None])
+            stack, width = basis.shape[0], basis.shape[2]
+            grid = basis.reshape((stack,) + (2,) * len(touched) + (width,))
+            # The support's qubit axes first, in support order; the rest keep theirs.
+            axes = [1 + touched.index(q) for q in support]
+            rest = [a for a in range(1, len(touched) + 2) if a not in axes]
+            fibers = grid.transpose([0] + axes + rest)
+            action = local @ fibers.reshape(stack, 1 << len(support), -1)
+            null, agree = _null_directions(action.reshape(stack, -1, width), max_bytes)
+        if not agree.all():
+            basis, kept = basis[agree], kept[agree]
+        if len(new) == len(support):
+            basis = _kron(basis, null, max_bytes)
+        else:
+            basis = basis @ null
+    return basis, touched, kept
+
+
+def _witnesses(num_qubits, supports, actions, max_bytes=None):
+    """The null-space dimension shared by the instances of a stack that
+    ``_local_nullspace_basis`` kept, one unit state in the intersection per
+    kept instance (None when the dimension is 0), and ``kept``.
+
+    The state is the first column of the instance's local basis L on the
+    touched qubits, with every other qubit at |0>.
+    """
+    basis, touched, kept = _local_nullspace_basis(supports, actions, max_bytes)
+    dim = basis.shape[2] << (num_qubits - len(touched))
+    if not dim:
+        return 0, None, kept
+    psi = np.zeros((len(basis), 1 << num_qubits), dtype=np.complex128)
+    _, offsets = kernels.fiber_layout(num_qubits, touched)
+    psi[:, offsets] = basis[:, :, 0]
+    return dim, psi, kept
+
+
+def _energies(num_qubits, supports, actions, states) -> np.ndarray:
+    """<psi|Q|psi> for each state of a stack (T, 2^n), with ``actions`` as
+    in ``_local_nullspace_basis``: every term adds the squared norm of its
+    operator A on each of its fibers, ||A x||^2 = <x|A^H A|x>."""
+    energy = np.zeros(len(states))
+    for support, action in zip(supports, actions):
+        bases, offsets = kernels.fiber_layout(num_qubits, support)
+        image = states[:, bases[:, None] + offsets] @ action.swapaxes(1, 2)
+        energy += (image.real ** 2 + image.imag ** 2).sum(axis=(1, 2))
+    return energy
 
 
 def nullspace_witness(instance: QsatInstance, max_bytes=None):
@@ -294,15 +393,10 @@ def nullspace_witness(instance: QsatInstance, max_bytes=None):
     array the basis builds; a larger one raises CapacityError before it is
     allocated.
     """
-    n = instance.num_qubits
-    basis, touched = _local_nullspace_basis(instance, max_bytes)
-    dim = basis.shape[1] << (n - len(touched))
-    if not dim:
-        return 0, None
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    _, offsets = kernels.fiber_layout(n, touched)
-    psi[offsets] = basis[:, 0]
-    return dim, psi
+    dim, psi, _ = _witnesses(
+        instance.num_qubits, instance.supports(), _actions(instance.terms), max_bytes
+    )
+    return dim, None if psi is None else psi[0]
 
 
 def common_nullspace_dim(instance: QsatInstance) -> int:
@@ -317,14 +411,31 @@ def common_nullspace_dim(instance: QsatInstance) -> int:
     return nullspace_witness(instance)[0]
 
 
+def _tag(lambda0, num_terms, nullspace_dim):
+    """The verdict a ground energy gives: satisfiable up to
+    ``sat_tolerance``, unsatisfiable from ``config.UNSAT_FLOOR``,
+    indeterminate in between.  A definite tag that the null-space dimension
+    (None: not computed) contradicts becomes indeterminate rather than a
+    guess."""
+    if lambda0 <= sat_tolerance(num_terms):
+        tag = SATISFIABLE
+    elif lambda0 >= config.UNSAT_FLOOR:
+        tag = UNSATISFIABLE
+    else:
+        return INDETERMINATE
+    if nullspace_dim is not None and (nullspace_dim > 0) != (tag == SATISFIABLE):
+        return INDETERMINATE
+    return tag
+
+
 def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     """Three-way verdict from the ground energy, with an explicit
     indeterminate band between the satisfiable and unsatisfiable thresholds.
 
-    With ``method="auto"`` a null-space witness comes first: when one matvec
-    confirms that its energy is within ``sat_tolerance``, the instance is
-    satisfiable (``method="nullspace"``, the witness energy as ``lambda0``,
-    an upper bound on the ground energy) and no eigensolver runs.  Up to
+    With ``method="auto"`` a null-space witness comes first: when its energy
+    is within ``sat_tolerance``, the instance is satisfiable
+    (``method="nullspace"``, the witness energy as ``lambda0``, an upper
+    bound on the ground energy) and no eigensolver runs.  Up to
     ``config.NULLSPACE_CROSSCHECK_CUTOFF`` qubits the basis has no size
     limit; above it, it may take no more bytes than the Lanczos basis of
     the Krylov route.  Otherwise the spectral verdict is cross-checked
@@ -344,25 +455,54 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
         except CapacityError:
             witness = None
         if witness is not None:
-            energy = kernels.expectation(instance, witness)
+            energy = _energies(n, instance.supports(), _actions(instance.terms), witness[None])[0]
             if energy <= sat_tolerance(m):
                 return SatVerdict(SATISFIABLE, max(energy, 0.0), nullspace_dim, "nullspace")
     result = ground_energy(instance, method=method)
-    lam = result.lambda0
-    if lam <= sat_tolerance(m):
-        tag = SATISFIABLE
-    elif lam >= config.UNSAT_FLOOR:
-        tag = UNSATISFIABLE
-    else:
-        tag = INDETERMINATE
     if nullspace_dim is None and n <= config.NULLSPACE_CROSSCHECK_CUTOFF:
         nullspace_dim = common_nullspace_dim(instance)
-    if nullspace_dim is not None:
-        if tag == SATISFIABLE and nullspace_dim == 0:
-            tag = INDETERMINATE
-        elif tag == UNSATISFIABLE and nullspace_dim > 0:
-            tag = INDETERMINATE
-    return SatVerdict(tag, lam, nullspace_dim, result.method)
+    return SatVerdict(
+        _tag(result.lambda0, m, nullspace_dim), result.lambda0, nullspace_dim, result.method
+    )
+
+
+def _decide_stack(num_qubits, supports, amplitudes) -> list:
+    """``decide_sat(method="auto")`` for a stack of rank-1 instances on one
+    structure, one verdict per instance.
+
+    ``amplitudes[j]`` holds the unit states of the term on ``supports[j]``,
+    one row per instance, shape (T, 2^k).  The structure is taken as
+    validated, with at least one term and at most ``config.DENSE_CUTOFF``
+    qubits, where ``auto`` takes the dense route.  The route is
+    ``decide_sat``'s on stacked arrays: the null-space witness and its
+    energy check, then for the rest the lowest eigenpair of each dense
+    operator (``_lowest_pair``), its residual check, and ``_tag`` with the
+    null-space dimension.  An instance that leaves the stack in
+    ``_local_nullspace_basis`` is decided by ``decide_sat``.
+    """
+    n, m = num_qubits, len(supports)
+    actions = [a.conj()[:, None, :] for a in amplitudes]
+    verdicts = [None] * len(amplitudes[0])
+    dim, psi, kept = _witnesses(n, supports, actions)
+    for t in np.setdiff1d(np.arange(len(verdicts)), kept):
+        terms = [RankOneTerm(s, a[t]) for s, a in zip(supports, amplitudes)]
+        verdicts[t] = decide_sat(QsatInstance(n, terms))
+    todo = kept
+    if psi is not None:
+        energies = _energies(n, supports, [a[kept] for a in actions], psi)
+        sat = energies <= sat_tolerance(m)
+        for t, energy in zip(kept[sat], energies[sat]):
+            verdicts[t] = SatVerdict(SATISFIABLE, max(float(energy), 0.0), dim, "nullspace")
+        todo = kept[~sat]
+    if len(todo):
+        qmat = _assemble_stack(
+            n, supports, [a[todo][:, :, None] * a[todo].conj()[:, None, :] for a in amplitudes]
+        )
+        for t, operator in zip(todo, qmat):
+            lam, vec, residual = _lowest_pair(operator)
+            _check_residual(lam, vec, residual)
+            verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, "dense")
+    return verdicts
 
 
 def _as_matrix(operand) -> np.ndarray:

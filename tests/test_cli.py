@@ -367,6 +367,15 @@ class TestSample:
         assert code == 0
         assert "seed: 101" in out
 
+    def test_seed_beyond_128_bits_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--structure", "builtin:triangle-double",
+            "--trials", "2", "--seed", str(1 << 128),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: seed must be in [0, 2**128), got {1 << 128}"]
+
     def test_trials_flag_is_required(self, capsys):
         code, _, _ = run_cli(
             capsys, "sample", "--structure", "builtin:triangle-double"
@@ -375,6 +384,13 @@ class TestSample:
 
 
 class TestTopLevel:
+    def test_non_integer_qubit_ceiling_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "abc")
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-a")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: QSAT_MAX_QUBITS must be an integer, got 'abc'"]
+
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 3

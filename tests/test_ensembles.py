@@ -2,11 +2,48 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import qsatkit as qk
+from qsatkit.ensembles import _draw
+from qsatkit.spectral import _decide_stack
+
+
+def per_trial_tally(num_qubits, supports, trials, seed):
+    """The reference route: one instance and one decide_sat call per trial,
+    each term drawn by haar_random_term on stream seed ^ trial."""
+    tags = Counter()
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=seed ^ trial))
+        terms = [qk.haar_random_term(s, rng) for s in supports]
+        tags[qk.decide_sat(qk.QsatInstance(num_qubits, terms)).tag] += 1
+    return tags[qk.SATISFIABLE], tags[qk.UNSATISFIABLE], tags[qk.INDETERMINATE]
+
+
+def tally(result):
+    return result.sat_count, result.unsat_count, result.indeterminate_count
+
+
+@st.composite
+def structures(draw):
+    """Up to six qubits and eight supports of one to three qubits, in any
+    order, with repeated supports."""
+    n = draw(st.integers(1, 6))
+    supports = []
+    for _ in range(draw(st.integers(0, 8))):
+        if supports and draw(st.booleans()):
+            supports.append(draw(st.sampled_from(supports)))
+        else:
+            k = draw(st.integers(1, min(3, n)))
+            supports.append(tuple(draw(st.permutations(range(n)))[:k]))
+    return n, supports
 
 
 class TestHaarRandomTerm:
@@ -95,6 +132,76 @@ class TestSampleEnsemble:
         b = qk.sample_ensemble(3, swapped, 20, seed=13)
         assert a.sat_count == b.sat_count
         assert a.unsat_count == b.unsat_count
+
+    @given(structures(), st.integers(1, 12), st.integers(0, (1 << 128) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stacks_tally_like_one_verdict_per_trial(self, structure, trials, seed):
+        num_qubits, supports = structure
+        result = qk.sample_ensemble(num_qubits, supports, trials, seed)
+        assert tally(result) == per_trial_tally(num_qubits, supports, trials, seed)
+
+    @pytest.mark.parametrize("num_qubits, supports, trials, seed", [
+        # 70 trials at n = 6 span two stacks of 4^(9 - 6) = 64.
+        (6, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], 70, 31),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5)], 70, 7),
+        # Trial 0 of seed 470 lands in the indeterminate band; so does trial
+        # 65 of seed 407, the same stream, in the second stack at n = 6.
+        (3, [(0, 1), (0, 1), (0, 1), (1, 2)], 20, 470),
+        (6, [(0, 1), (0, 1), (0, 1), (1, 2)], 70, 407),
+    ], ids=["sat-chain", "unsat-graph", "indeterminate", "indeterminate-in-second-stack"])
+    def test_stacks_tally_like_one_verdict_per_trial_on_fixed_structures(
+            self, num_qubits, supports, trials, seed):
+        result = qk.sample_ensemble(num_qubits, supports, trials, seed)
+        assert tally(result) == per_trial_tally(num_qubits, supports, trials, seed)
+
+    def test_trials_off_the_stack_are_decided_alone(self):
+        # Trial 1 repeats its first projector, so its null space is one
+        # direction wider than the others' and it leaves the stack.
+        rng = np.random.Generator(np.random.Philox(key=5))
+        supports = [(0, 1), (0, 1), (1, 2)]
+        rows = [[qk.haar_random_term(s, rng).amplitudes for s in supports] for _ in range(3)]
+        rows[1][1] = rows[1][0]
+        amplitudes = [np.array([row[j] for row in rows]) for j in range(len(supports))]
+        verdicts = _decide_stack(3, supports, amplitudes)
+        dims = [
+            qk.common_nullspace_dim(qk.QsatInstance(3, [
+                qk.RankOneTerm(s, a[t]) for s, a in zip(supports, amplitudes)
+            ]))
+            for t in range(3)
+        ]
+        assert dims[1] != dims[0] == dims[2]
+        assert [v.nullspace_dim for v in verdicts] == dims
+
+    def test_stacked_draws_are_haar_random_term_bit_for_bit(self):
+        supports = [(0, 1), (2,), (0, 1, 2), (3, 1), tuple(range(5))]
+        seed = 20481
+        stacked = _draw(seed, range(200), [1 << len(s) for s in supports])
+        for trial in range(200):
+            rng = np.random.Generator(np.random.Philox(key=seed ^ trial))
+            for support, states in zip(supports, stacked):
+                drawn = qk.haar_random_term(support, rng).amplitudes
+                assert np.array_equal(drawn, states[trial])
+
+    def test_memory_does_not_grow_with_trials(self):
+        # A stack holds 4^(9 - 3) = 4,096 triangle-double trials, so both
+        # runs reach one full stack; the longer one runs three.
+        num_qubits, supports = qk.triangle_double_structure()
+        peaks = []
+        for trials in (4_100, 12_300):
+            tracemalloc.start()
+            try:
+                qk.sample_ensemble(num_qubits, supports, trials, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_seeds_beyond_128_bits_are_rejected(self):
+        with pytest.raises(qk.ArgumentError, match="2\\*\\*128"):
+            qk.sample_ensemble(3, [(0, 1)], 5, seed=1 << 128)
+        with pytest.raises(qk.ArgumentError, match="2\\*\\*128"):
+            qk.haar_random_term((0, 1), 1 << 128)
+        assert qk.sample_ensemble(3, [(0, 1)], 2, seed=(1 << 128) - 1).sat_count == 2
 
     def test_argument_checks(self):
         with pytest.raises(qk.ArgumentError):

@@ -20,8 +20,8 @@ from conftest import (
     oracle_matrix,
     random_instance,
 )
-from qsatkit import kernels, spectral
-from qsatkit.spectral import _local_nullspace_basis, _null_directions, sat_tolerance
+from qsatkit import spectral
+from qsatkit.spectral import _actions, _local_nullspace_basis, _null_directions, sat_tolerance
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
 # independent 8x8 eigendecomposition; agrees with (5 - sqrt(17)) / 4.
@@ -55,7 +55,8 @@ def _planted_instance(num_qubits, num_terms, k, seed):
 def _register_basis(inst):
     """The local null-space basis L, expanded to L (x) I on the register in
     the register's qubit order."""
-    local, touched = _local_nullspace_basis(inst)
+    local, touched, _ = _local_nullspace_basis(inst.supports(), _actions(inst.terms))
+    local = local[0]
     n = inst.num_qubits
     order = touched + [q for q in range(n) if q not in touched]
     full = np.kron(local, np.eye(1 << (n - len(touched))))
@@ -374,8 +375,8 @@ class TestDecideSat:
         wide = np.zeros((1, 64), dtype=np.complex128)
         wide[0, 0] = 1.0
         with pytest.raises(qk.CapacityError):
-            _null_directions(wide, max_bytes=16 * 64 * 64)
-        assert _null_directions(wide, max_bytes=16 * 65 * 64).shape == (64, 63)
+            _null_directions(wide[None], max_bytes=16 * 64 * 64)
+        assert _null_directions(wide[None], max_bytes=16 * 65 * 64)[0].shape == (1, 64, 63)
 
     def test_limit_starts_above_the_crosscheck_cutoff(self, monkeypatch):
         limits = []
@@ -396,7 +397,7 @@ class TestDecideSat:
 
     def test_failed_witness_check_falls_back(self, monkeypatch, figure_a):
         # A witness whose energy is too high never becomes a verdict.
-        monkeypatch.setattr(kernels, "expectation", lambda instance, state: 1.0)
+        monkeypatch.setattr(spectral, "_energies", lambda *args: np.ones(1))
         verdict = qk.decide_sat(figure_a)
         assert verdict.tag == qk.SATISFIABLE
         assert verdict.method == "dense"
