@@ -11,13 +11,11 @@ independent of evaluation order.  A trial draws all its terms with one
 ``standard_normal`` call, which yields the same values as one call per term.
 
 The structure is validated once, before anything is drawn, and the trials
-are decided as stacks on it: ``spectral._decide_stack`` takes
-``decide_sat(method="auto")``'s route with one stacked SVD per term, one
-stacked witness energy and one stacked dense assembly.  A stack holds at
-most 4^(``config.DENSE_CUTOFF`` - n) trials, so its dense operators never
-exceed the 4^``DENSE_CUTOFF`` complex entries of the one operator ``auto``
-builds at the cutoff, and memory does not grow with the trial count.  Structures above the cutoff, or with no
-terms, are decided one trial at a time with ``decide_sat``.
+are decided by ``spectral._decide``, the pipeline ``decide_sat`` runs on a
+stack of one, in stacks of 4^max(0, ``config.DENSE_CUTOFF`` - n) trials.  Up
+to the cutoff a stack's dense operators never exceed the 4^``DENSE_CUTOFF``
+complex entries of the one operator ``auto`` builds at the cutoff, so memory
+does not grow with the trial count; above it, every trial is a stack of one.
 """
 
 from dataclasses import dataclass
@@ -27,7 +25,7 @@ import numpy as np
 from . import config
 from .errors import ArgumentError
 from .instance import QsatInstance, RankOneTerm
-from .spectral import INDETERMINATE, SATISFIABLE, UNSATISFIABLE, _decide_stack, decide_sat
+from .spectral import INDETERMINATE, SATISFIABLE, UNSATISFIABLE, _decide, _route
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,17 @@ def _draw(seed: int, block: range, dims) -> list:
     """The terms' states for the trials in ``block``, one (T, d) array per
     entry of ``dims``: trial t draws all its terms with one call on stream
     ``seed ^ t``, in the order and with the values of one ``haar_random_term``
-    call per term."""
-    normals = np.array([_generator(seed ^ t).standard_normal(2 * sum(dims)) for t in block])
-    return _haar_states(normals, dims)
+    call per term.  Building a Philox generator also reads OS entropy, so
+    one generator is re-keyed per trial to the state a new one starts in."""
+    bits = np.random.Philox(key=0)
+    rng, state = np.random.Generator(bits), bits.state
+    rows = []
+    for t in block:
+        key = seed ^ t
+        state["state"]["key"] = np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64)
+        bits.state = state
+        rows.append(rng.standard_normal(2 * sum(dims)))
+    return _haar_states(np.array(rows), dims)
 
 
 def haar_random_term(support, rng) -> RankOneTerm:
@@ -99,25 +105,16 @@ def sample_ensemble(num_qubits, supports, trials, seed) -> EnsembleResult:
     _check_seed(seed)
     supports = [tuple(int(q) for q in s) for s in supports]
     dims = [1 << len(s) for s in supports]
-    # Raises ValidationError for a bad structure before anything is drawn.
+    # Raises ValidationError for a bad structure, or CapacityError above the
+    # qubit ceiling, before anything is drawn.
     QsatInstance(num_qubits, [RankOneTerm(s, np.eye(1, d)[0]) for s, d in zip(supports, dims)])
-    # Above the qubit ceiling each trial's decide_sat raises CapacityError.
-    stacked = bool(supports) and num_qubits <= min(config.DENSE_CUTOFF, config.max_qubits())
-    chunk = 4 ** (config.DENSE_CUTOFF - num_qubits) if stacked else 1
+    _route(num_qubits, "auto")
+    # A structure with no terms has no stack axis: one trial at a time.
+    chunk = 4 ** max(0, config.DENSE_CUTOFF - num_qubits) if supports else 1
     counts = {SATISFIABLE: 0, UNSATISFIABLE: 0, INDETERMINATE: 0}
     for start in range(0, trials, chunk):
-        block = range(start, min(trials, start + chunk))
-        states = _draw(seed, block, dims)
-        if stacked:
-            verdicts = _decide_stack(num_qubits, supports, states)
-        else:
-            verdicts = [
-                decide_sat(QsatInstance(num_qubits, [
-                    RankOneTerm(s, a[i]) for s, a in zip(supports, states)
-                ]))
-                for i in range(len(block))
-            ]
-        for verdict in verdicts:
+        states = _draw(seed, range(start, min(trials, start + chunk)), dims)
+        for verdict in _decide(num_qubits, supports, [a.conj()[:, None, :] for a in states]):
             counts[verdict.tag] += 1
     return EnsembleResult(
         trials, counts[UNSATISFIABLE], counts[SATISFIABLE], counts[INDETERMINATE], seed

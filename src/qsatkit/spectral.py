@@ -25,10 +25,10 @@ spectral verdict.
 and Krylov beyond; no dense routine accepts more than
 ``config.DENSE_MAX_QUBITS`` qubits.
 
-The null-space code, the witness energy and dense assembly work on stacks of
-instances that share one structure, with a leading instance axis; a single
-instance is a stack of one.  ``_decide_stack`` runs ``auto``'s dense-side
-route on a whole stack, which is how ``sample_ensemble`` decides its trials.
+``_decide`` is the one verdict pipeline.  It works on a stack of instances
+that share one structure, with a leading instance axis, and runs the
+eigensolvers per operator or instance; ``decide_sat`` is a stack of one and
+``sample_ensemble`` decides its trials in stacks.
 """
 
 from dataclasses import dataclass
@@ -84,21 +84,24 @@ def assemble_dense(instance: QsatInstance) -> np.ndarray:
         raise CapacityError(
             f"dense assembly is limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
         )
-    return _assemble_stack(n, instance.supports(), [t.dense()[None] for t in instance.terms])[0]
+    return _assemble_stack(n, instance.supports(), _actions(instance.terms))[0]
 
 
-def _assemble_stack(num_qubits, supports, matrices):
+def _assemble_stack(num_qubits, supports, actions):
     """The operators of a stack of instances on one structure, shape
-    (T, 2^n, 2^n); ``matrices[j]`` holds term j's matrix in every instance,
-    shape (T, 2^k, 2^k).  No terms give a stack of one zero operator.
+    (T, 2^n, 2^n), from the terms' actions A (see ``_actions``) as A^H A:
+    ``np.outer``'s |v><v|, entry for entry, from a rank-1 term's row <v|,
+    and a general term's action, which is its projector.  No terms give a
+    stack of one zero operator.
 
     ``kernels.fiber_layout`` lists the register indices of every fiber of a
     term; one fancy-indexed addition per term scatters the term matrices onto
     all fibers of all instances at once.
     """
     dim = 1 << num_qubits
-    q = np.zeros((len(matrices[0]) if matrices else 1, dim, dim), dtype=np.complex128)
-    for support, matrix in zip(supports, matrices):
+    q = np.zeros((len(actions[0]) if actions else 1, dim, dim), dtype=np.complex128)
+    for support, action in zip(supports, actions):
+        matrix = action.conj().swapaxes(1, 2) * action if action.shape[1] == 1 else action
         bases, offsets = kernels.fiber_layout(num_qubits, support)
         idx = bases[:, None] + offsets
         q[:, idx[:, :, None], idx[:, None, :]] += matrix[:, None]
@@ -181,6 +184,22 @@ def _krylov_ground_pair(instance):
     return lam, vec, residual
 
 
+def _route(n, method):
+    """The route, "dense" or "krylov", that ``method`` takes on ``n`` qubits
+    (see ``ground_energy``); raises on a route that cannot run."""
+    if n > config.max_qubits():
+        raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
+    if method not in ("auto", "dense", "krylov"):
+        raise ArgumentError(f"unknown method {method!r}")
+    if method == "auto":
+        return "dense" if n <= config.DENSE_CUTOFF else "krylov"
+    if method == "dense" and n > config.DENSE_MAX_QUBITS:
+        raise CapacityError(
+            f"dense solves are limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
+        )
+    return method
+
+
 def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResult:
     """The minimum eigenvalue of the instance operator with its eigenvector.
 
@@ -191,16 +210,7 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
     state, reported under the route that would have run.
     """
     n = instance.num_qubits
-    if n > config.max_qubits():
-        raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
-    if method not in ("auto", "dense", "krylov"):
-        raise ArgumentError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if n <= config.DENSE_CUTOFF else "krylov"
-    if method == "dense" and n > config.DENSE_MAX_QUBITS:
-        raise CapacityError(
-            f"dense solves are limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
-        )
+    method = _route(n, method)
     m = instance.num_terms
     if m == 0:
         vec = np.zeros(1 << n, dtype=np.complex128)
@@ -443,65 +453,57 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     witness did not run; any disagreement downgrades it to indeterminate
     rather than guessing.
     """
-    n = instance.num_qubits
-    m = instance.num_terms
-    nullspace_dim = None
-    if method == "auto" and m and n <= config.max_qubits():
+    return _decide(
+        instance.num_qubits, instance.supports(), _actions(instance.terms), method, instance
+    )[0]
+
+
+def _decide(num_qubits, supports, actions, method="auto", instance=None) -> list:
+    """``decide_sat`` for a stack of instances on one structure, one verdict
+    per instance; ``actions`` are as in ``_local_nullspace_basis``.  An
+    instance that leaves the stack there is decided alone.  ``instance`` is
+    the one instance of a stack of one when the caller has it: the Krylov
+    route then runs on it instead of rebuilding it from its actions.
+    """
+    n, m = num_qubits, len(supports)
+    route = _route(n, method)
+    verdicts = [None] * (len(actions[0]) if m else 1)
+    todo = np.arange(len(verdicts))
+    dim = psi = None
+    witness = method == "auto" and m > 0
+    if witness or n <= config.NULLSPACE_CROSSCHECK_CUTOFF:
         max_bytes = None
         if n > config.NULLSPACE_CROSSCHECK_CUTOFF:
             max_bytes = config.KRYLOV_NCV * 16 << n
         try:
-            nullspace_dim, witness = nullspace_witness(instance, max_bytes)
+            dim, psi, todo = _witnesses(n, supports, actions, max_bytes)
         except CapacityError:
-            witness = None
-        if witness is not None:
-            energy = _energies(n, instance.supports(), _actions(instance.terms), witness[None])[0]
-            if energy <= sat_tolerance(m):
-                return SatVerdict(SATISFIABLE, max(energy, 0.0), nullspace_dim, "nullspace")
-    result = ground_energy(instance, method=method)
-    if nullspace_dim is None and n <= config.NULLSPACE_CROSSCHECK_CUTOFF:
-        nullspace_dim = common_nullspace_dim(instance)
-    return SatVerdict(
-        _tag(result.lambda0, m, nullspace_dim), result.lambda0, nullspace_dim, result.method
-    )
-
-
-def _decide_stack(num_qubits, supports, amplitudes) -> list:
-    """``decide_sat(method="auto")`` for a stack of rank-1 instances on one
-    structure, one verdict per instance.
-
-    ``amplitudes[j]`` holds the unit states of the term on ``supports[j]``,
-    one row per instance, shape (T, 2^k).  The structure is taken as
-    validated, with at least one term and at most ``config.DENSE_CUTOFF``
-    qubits, where ``auto`` takes the dense route.  The route is
-    ``decide_sat``'s on stacked arrays: the null-space witness and its
-    energy check, then for the rest the lowest eigenpair of each dense
-    operator (``_lowest_pair``), its residual check, and ``_tag`` with the
-    null-space dimension.  An instance that leaves the stack in
-    ``_local_nullspace_basis`` is decided by ``decide_sat``.
-    """
-    n, m = num_qubits, len(supports)
-    actions = [a.conj()[:, None, :] for a in amplitudes]
-    verdicts = [None] * len(amplitudes[0])
-    dim, psi, kept = _witnesses(n, supports, actions)
-    for t in np.setdiff1d(np.arange(len(verdicts)), kept):
-        terms = [RankOneTerm(s, a[t]) for s, a in zip(supports, amplitudes)]
-        verdicts[t] = decide_sat(QsatInstance(n, terms))
-    todo = kept
-    if psi is not None:
-        energies = _energies(n, supports, [a[kept] for a in actions], psi)
+            pass  # Over the byte limit: no witness, and no dimension to cross-check.
+        # np.setdiff1d alone costs about 50 us, which a stack of one notices.
+        if len(todo) < len(verdicts):
+            for t in np.setdiff1d(np.arange(len(verdicts)), todo):
+                verdicts[t] = _decide(n, supports, [a[t:t + 1] for a in actions], method)[0]
+    if not m:
+        # No terms: energy 0, reported under the route that would have run.
+        return [SatVerdict(SATISFIABLE, 0.0, dim, route)]
+    if witness and psi is not None:
+        energies = _energies(n, supports, [a[todo] for a in actions], psi)
         sat = energies <= sat_tolerance(m)
-        for t, energy in zip(kept[sat], energies[sat]):
+        for t, energy in zip(todo[sat], energies[sat]):
             verdicts[t] = SatVerdict(SATISFIABLE, max(float(energy), 0.0), dim, "nullspace")
-        todo = kept[~sat]
-    if len(todo):
-        qmat = _assemble_stack(
-            n, supports, [a[todo][:, :, None] * a[todo].conj()[:, None, :] for a in amplitudes]
-        )
-        for t, operator in zip(todo, qmat):
-            lam, vec, residual = _lowest_pair(operator)
-            _check_residual(lam, vec, residual)
-            verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, "dense")
+        todo = todo[~sat]
+    if not len(todo):
+        return verdicts
+    if route == "dense":
+        pairs = map(_lowest_pair, _assemble_stack(n, supports, [a[todo] for a in actions]))
+    else:
+        pairs = (_krylov_ground_pair(instance or QsatInstance(n, [
+            RankOneTerm(s, a[t, 0].conj()) if a.shape[1] == 1 else GeneralTerm(s, a[t])
+            for s, a in zip(supports, actions)
+        ])) for t in todo)
+    for t, (lam, vec, residual) in zip(todo, pairs):
+        _check_residual(lam, vec, residual)
+        verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, route)
     return verdicts
 
 

@@ -34,6 +34,12 @@ class TestSolve:
         assert code == 0
         assert "verdict: satisfiable" in out
 
+    def test_witness_verdict_prints_plain_numbers(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "builtin:figure-a")
+        fields = dict(line.split(": ", 1) for line in out.splitlines())
+        assert (code, fields["method"]) == (0, "nullspace")
+        assert float(fields["lambda0"]) >= 0.0 and float(fields["e0"]) >= 0.0
+
     def test_unsatisfiable_builtin(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "builtin:figure-b")
         assert code == 1
@@ -110,10 +116,10 @@ class TestSolve:
         assert payload["verdict"] == "satisfiable"
 
     def test_unexpected_error_exits_internal(self, capsys, monkeypatch):
-        def fail(instance, max_bytes=None):
+        def fail(num_qubits, supports, actions, max_bytes=None):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(spectral, "nullspace_witness", fail)
+        monkeypatch.setattr(spectral, "_witnesses", fail)
         code, out, err = run_cli(capsys, "solve", "builtin:figure-a")
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""

@@ -13,7 +13,7 @@ from scipy.stats import kstest
 
 import qsatkit as qk
 from qsatkit.ensembles import _draw
-from qsatkit.spectral import _decide_stack
+from qsatkit.spectral import _decide
 
 
 def per_trial_tally(num_qubits, supports, trials, seed):
@@ -154,6 +154,23 @@ class TestSampleEnsemble:
         result = qk.sample_ensemble(num_qubits, supports, trials, seed)
         assert tally(result) == per_trial_tally(num_qubits, supports, trials, seed)
 
+    def test_trials_above_the_dense_cutoff_tally_like_one_verdict_per_trial(self):
+        # Every trial is a stack of one here, and unsatisfiable: Krylov decides.
+        n = qk.config.DENSE_CUTOFF + 1
+        supports = ([(q, (q + 1) % n, (q + 3) % n) for q in range(n)]
+                    + [(q, (q + 2) % n, (q + 5) % n) for q in range(n)])
+        result = qk.sample_ensemble(n, supports, 4, seed=5)
+        assert tally(result) == per_trial_tally(n, supports, 4, 5) == (0, 4, 0)
+
+    def test_structures_above_the_ceiling_are_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "4")
+        monkeypatch.setattr(qk.ensembles, "_draw", no_draw)
+        with pytest.raises(qk.CapacityError, match="ceiling is 4"):
+            qk.sample_ensemble(5, [(0, 1), (3, 4)], 10**9, seed=1)
+
     def test_trials_off_the_stack_are_decided_alone(self):
         # Trial 1 repeats its first projector, so its null space is one
         # direction wider than the others' and it leaves the stack.
@@ -162,7 +179,7 @@ class TestSampleEnsemble:
         rows = [[qk.haar_random_term(s, rng).amplitudes for s in supports] for _ in range(3)]
         rows[1][1] = rows[1][0]
         amplitudes = [np.array([row[j] for row in rows]) for j in range(len(supports))]
-        verdicts = _decide_stack(3, supports, amplitudes)
+        verdicts = _decide(3, supports, [a.conj()[:, None, :] for a in amplitudes])
         dims = [
             qk.common_nullspace_dim(qk.QsatInstance(3, [
                 qk.RankOneTerm(s, a[t]) for s, a in zip(supports, amplitudes)

@@ -134,6 +134,15 @@ class TestValidateOnce:
         assert (verdict.tag, verdict.method) == (qk.UNSATISFIABLE, "dense")
         assert calls == []
 
+    def test_a_krylov_verdict_does_not_validate(self, figure_b, calls):
+        # The Krylov route runs on the instance decide_sat was handed.
+        above = qk.QsatInstance(qk.config.DENSE_CUTOFF + 1, figure_b.terms)
+        calls.clear()
+        for inst, method in ((figure_b, "krylov"), (above, "auto")):
+            verdict = qk.decide_sat(inst, method=method)
+            assert (verdict.tag, verdict.method) == (qk.UNSATISFIABLE, "krylov")
+        assert calls == []
+
     def test_an_ensemble_validates_its_structure_once(self, calls):
         num_qubits, supports = qk.triangle_double_structure()
         result = qk.sample_ensemble(num_qubits, supports, trials=7, seed=3)

@@ -338,7 +338,8 @@ class TestDecideSat:
         def no_eigensolver(*args, **kwargs):
             raise AssertionError("the witness route ran an eigensolver")
 
-        monkeypatch.setattr(spectral, "ground_energy", no_eigensolver)
+        monkeypatch.setattr(spectral, "_lowest_pair", no_eigensolver)
+        monkeypatch.setattr(spectral, "_krylov_ground_pair", no_eigensolver)
         inst = _planted_instance(16, 24, k=2, seed=16)
         verdict = qk.decide_sat(inst)
         assert verdict.method == "nullspace"
@@ -380,15 +381,15 @@ class TestDecideSat:
 
     def test_limit_starts_above_the_crosscheck_cutoff(self, monkeypatch):
         limits = []
-        witness = spectral.nullspace_witness
+        witnesses = spectral._witnesses
 
-        def refuse_any_limit(instance, max_bytes=None):
+        def refuse_any_limit(num_qubits, supports, actions, max_bytes=None):
             limits.append(max_bytes)
             if max_bytes is not None:
                 raise qk.CapacityError("refused")
-            return witness(instance)
+            return witnesses(num_qubits, supports, actions)
 
-        monkeypatch.setattr(spectral, "nullspace_witness", refuse_any_limit)
+        monkeypatch.setattr(spectral, "_witnesses", refuse_any_limit)
         cutoff = qk.config.NULLSPACE_CROSSCHECK_CUTOFF
         assert qk.decide_sat(_singlet_chain(cutoff)).method == "nullspace"
         above = qk.decide_sat(_singlet_chain(cutoff + 1))
