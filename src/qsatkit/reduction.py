@@ -41,7 +41,6 @@ from .spectral import (
     INDETERMINATE,
     SATISFIABLE,
     UNSATISFIABLE,
-    assemble_dense,
     decide_sat,
     ground_energy,
     operator_dominates,
@@ -413,10 +412,7 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
             )
     adjusted_gap = min(q.promise_gap, penalty)
     t_instance = QsatInstance(next_free, terms_out, adjusted_gap)
-    profile = [0] * t_instance.num_qubits
-    for term in t_instance.terms:
-        for qubit in term.support:
-            profile[qubit] += 1
+    profile = degree_profile(t_instance).per_qubit
     summaries = tuple(
         RoleSummary(
             role,

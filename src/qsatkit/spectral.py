@@ -25,10 +25,13 @@ spectral verdict.
 and Krylov beyond; no dense routine accepts more than
 ``config.DENSE_MAX_QUBITS`` qubits.
 
-``_decide`` is the one verdict pipeline.  It works on a stack of instances
-that share one structure, with a leading instance axis, and runs the
-eigensolvers per operator or instance; ``decide_sat`` is a stack of one and
-``sample_ensemble`` decides its trials in stacks.
+``_ground_pairs`` is the one ground-state stage: ``ground_energy`` takes its
+pair from it, and ``_decide``, the one verdict pipeline, tags the pairs it
+yields.  Both work on a stack of instances that share one structure, with a
+leading instance axis; ``ground_energy`` and ``decide_sat`` are stacks of
+one, and ``sample_ensemble`` decides its trials in stacks.  Every dense
+lowest eigenpair, including the dominance and pinned-sector checks of the
+gadget reduction, comes from ``_dense_ground_pair``.
 """
 
 from dataclasses import dataclass
@@ -114,11 +117,7 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_ground_pair(instance):
-    return _lowest_pair(assemble_dense(instance))
-
-
-def _lowest_pair(qmat):
+def _dense_ground_pair(qmat):
     """The lowest eigenpair of a dense Hermitian operator, and its residual.
 
     LAPACK computes that one pair only.  A stack of operators goes through
@@ -142,18 +141,14 @@ def _krylov_ground_pair(instance):
     if dim <= 2:
         # ARPACK requires k < dim - 1, so a 2-dimensional problem cannot be
         # iterated; materialize the operator through the applier instead.
-        qmat = applier(np.eye(dim, dtype=np.complex128))
-        vals, vecs = scipy.linalg.eigh(qmat)
-        vec = vecs[:, 0]
-        residual = float(np.linalg.norm(applier(vec) - vals[0] * vec))
-        return float(vals[0]), vec, residual
+        return _dense_ground_pair(applier(np.eye(dim, dtype=np.complex128)))
     shift = float(m)
     op = scipy.sparse.linalg.LinearOperator(
         shape=(dim, dim),
         matvec=lambda x: shift * x - applier(x),
         dtype=np.complex128,
     )
-    ncv = min(dim, max(config.KRYLOV_NCV, 4))
+    ncv = min(dim, config.KRYLOV_NCV)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             op,
@@ -207,7 +202,8 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
     iteration beyond; "dense"/"krylov" force a route, and "dense" refuses
     registers above ``config.DENSE_MAX_QUBITS`` before allocating.
     Instances with no terms short-circuit to energy 0 on the all-zeros basis
-    state, reported under the route that would have run.
+    state, reported under the route that would have run; any other instance
+    takes its pair from the ground-state stage ``_ground_pairs``.
     """
     n = instance.num_qubits
     method = _route(n, method)
@@ -216,23 +212,37 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
         vec = np.zeros(1 << n, dtype=np.complex128)
         vec[0] = 1.0
         return SpectralResult(0.0, 0.0, vec, method, 0.0)
-    if method == "dense":
-        lam, vec, residual = _dense_ground_pair(instance)
-    else:
-        lam, vec, residual = _krylov_ground_pair(instance)
-    _check_residual(lam, vec, residual)
+    lam, vec, residual = next(
+        _ground_pairs(n, instance.supports(), _actions(instance.terms), method, instance)
+    )
     return SpectralResult(lam, lam / m, vec, method, residual)
 
 
-def _check_residual(lam, vec, residual):
-    """Raise ConvergenceError, carrying the pair as the best iterate, when a
-    ground pair's residual exceeds ``config.RESIDUAL_TOL``."""
-    if residual > config.RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"ground-state residual {residual:.3e} exceeds {config.RESIDUAL_TOL:.1e}",
-            best_lambda0=lam,
-            best_vector=vec,
-        )
+def _ground_pairs(num_qubits, supports, actions, route, instance=None):
+    """The one ground-state stage: yields the lowest eigenpair
+    ``(lambda0, vector, residual)`` of each instance of a stack on one
+    structure, with ``actions`` as in ``_local_nullspace_basis`` and at least
+    one term.  The dense route solves each operator of one
+    ``_assemble_stack``; the Krylov route iterates on each instance, on
+    ``instance`` itself for a stack of one when the caller has it.  A pair
+    whose residual exceeds ``config.RESIDUAL_TOL`` raises ConvergenceError,
+    carrying the pair as the best iterate.
+    """
+    if route == "dense":
+        pairs = map(_dense_ground_pair, _assemble_stack(num_qubits, supports, actions))
+    else:
+        pairs = (_krylov_ground_pair(instance or QsatInstance(num_qubits, [
+            RankOneTerm(s, a[t, 0].conj()) if a.shape[1] == 1 else GeneralTerm(s, a[t])
+            for s, a in zip(supports, actions)
+        ])) for t in range(len(actions[0])))
+    for lam, vec, residual in pairs:
+        if residual > config.RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"ground-state residual {residual:.3e} exceeds {config.RESIDUAL_TOL:.1e}",
+                best_lambda0=lam,
+                best_vector=vec,
+            )
+        yield lam, vec, residual
 
 
 def full_spectrum(instance: QsatInstance) -> np.ndarray:
@@ -461,9 +471,11 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
 def _decide(num_qubits, supports, actions, method="auto", instance=None) -> list:
     """``decide_sat`` for a stack of instances on one structure, one verdict
     per instance; ``actions`` are as in ``_local_nullspace_basis``.  An
-    instance that leaves the stack there is decided alone.  ``instance`` is
-    the one instance of a stack of one when the caller has it: the Krylov
-    route then runs on it instead of rebuilding it from its actions.
+    instance that leaves the stack there is decided alone.  The instances
+    that no witness decides are tagged from the pairs of the ground-state
+    stage ``_ground_pairs``.  ``instance`` is the one instance of a stack of
+    one when the caller has it: the Krylov route then runs on it instead of
+    rebuilding it from its actions.
     """
     n, m = num_qubits, len(supports)
     route = _route(n, method)
@@ -494,15 +506,8 @@ def _decide(num_qubits, supports, actions, method="auto", instance=None) -> list
         todo = todo[~sat]
     if not len(todo):
         return verdicts
-    if route == "dense":
-        pairs = map(_lowest_pair, _assemble_stack(n, supports, [a[todo] for a in actions]))
-    else:
-        pairs = (_krylov_ground_pair(instance or QsatInstance(n, [
-            RankOneTerm(s, a[t, 0].conj()) if a.shape[1] == 1 else GeneralTerm(s, a[t])
-            for s, a in zip(supports, actions)
-        ])) for t in todo)
-    for t, (lam, vec, residual) in zip(todo, pairs):
-        _check_residual(lam, vec, residual)
+    pairs = _ground_pairs(n, supports, [a[todo] for a in actions], route, instance)
+    for t, (lam, _, _) in zip(todo, pairs):
         verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, route)
     return verdicts
 
@@ -519,19 +524,13 @@ def _as_matrix(operand) -> np.ndarray:
     )
 
 
-def smallest_eigenvalue(matrix: np.ndarray) -> float:
-    if matrix.shape[0] <= 512:
-        return float(np.linalg.eigvalsh(matrix)[0])
-    return float(
-        scipy.linalg.eigh(matrix, eigvals_only=True, subset_by_index=[0, 0])[0]
-    )
-
-
 def operator_dominates(a, b, tol: float = config.DOMINANCE_TOL) -> bool:
     """True iff A - B is positive semidefinite up to ``tol``.
 
     Operands may be instances (assembled densely), single terms (their fiber
-    matrices), or explicit arrays; both must share a dimension.
+    matrices), or explicit arrays; both must share a dimension, and A - B
+    must be a non-empty square matrix, finite and Hermitian within
+    ``config.HERMITICITY_TOL`` entrywise.
     """
     ma = _as_matrix(a)
     mb = _as_matrix(b)
@@ -539,7 +538,13 @@ def operator_dominates(a, b, tol: float = config.DOMINANCE_TOL) -> bool:
         raise DimensionMismatchError(
             f"operands have shapes {ma.shape} and {mb.shape}"
         )
-    return bool(smallest_eigenvalue(ma - mb) >= -tol)
+    diff = ma - mb
+    if diff.ndim != 2 or diff.shape[0] != diff.shape[1] or not diff.size:
+        raise ArgumentError(f"A - B must be a non-empty square matrix, got shape {diff.shape}")
+    # Also false on a NaN or infinite entry.
+    if not np.all(np.abs(diff - diff.conj().T) <= config.HERMITICITY_TOL):
+        raise ArgumentError("A - B is not a finite Hermitian matrix")
+    return bool(_dense_ground_pair(diff)[0] >= -tol)
 
 
 def restricted_ground_energy(instance: QsatInstance, fixed) -> float:
@@ -559,5 +564,4 @@ def restricted_ground_energy(instance: QsatInstance, fixed) -> float:
             raise ArgumentError(f"bit value for qubit {qubit} must be 0 or 1")
         mask &= ((idx >> (n - 1 - qubit)) & 1) == bit
     sel = np.flatnonzero(mask)
-    sub = qmat[np.ix_(sel, sel)]
-    return smallest_eigenvalue(sub)
+    return _dense_ground_pair(qmat[np.ix_(sel, sel)])[0]

@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsatkit as qk
 from qsatkit.reduction import (
@@ -508,3 +510,28 @@ class TestVerifyReduction:
         report = qk.verify_reduction(q, tampered)
         assert not report.degree_ok
         assert report.commutation_ok
+
+
+@st.composite
+def reducible_inputs(draw):
+    """Haar rank-1 instances on at most 3 qubits whose reduction to 3-local
+    terms with the figure-b gadget (a dummy and 3 ancillas per padded
+    qubit) stays within 11 qubits: one or two 2-local terms, or a single
+    1-local term."""
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 1 << 30))))
+    k, count = draw(st.sampled_from([(2, 1), (2, 2), (1, 1)]))
+    n = draw(st.integers(k, 3))
+    supports = [tuple(draw(st.permutations(range(n)))[:k]) for _ in range(count)]
+    return qk.QsatInstance(n, [qk.haar_random_term(s, rng) for s in supports])
+
+
+class TestReductionProperties:
+    @given(q=reducible_inputs())
+    @settings(max_examples=25, deadline=None)
+    def test_reduction_keeps_commutation_degree_and_energy(self, figure_b_core, q):
+        out = qk.build_reduction(q, 3, figure_b_core)
+        assert out.t_instance.num_qubits <= 11
+        report = qk.verify_reduction(q, out)
+        assert report.commutation_ok
+        assert report.degree_ok
+        assert report.energy_ok

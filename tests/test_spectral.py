@@ -338,7 +338,7 @@ class TestDecideSat:
         def no_eigensolver(*args, **kwargs):
             raise AssertionError("the witness route ran an eigensolver")
 
-        monkeypatch.setattr(spectral, "_lowest_pair", no_eigensolver)
+        monkeypatch.setattr(spectral, "_dense_ground_pair", no_eigensolver)
         monkeypatch.setattr(spectral, "_krylov_ground_pair", no_eigensolver)
         inst = _planted_instance(16, 24, k=2, seed=16)
         verdict = qk.decide_sat(inst)
@@ -444,6 +444,24 @@ class TestDominance:
         with pytest.raises(qk.DimensionMismatchError):
             qk.operator_dominates(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["N-0", "0-N"])
+    def test_non_hermitian_difference_is_rejected_before_solving(self, monkeypatch, swap):
+        # An eigensolver reading one triangle of N sees 0 and would answer True.
+        def no_eigensolver(*args):
+            raise AssertionError("a non-Hermitian operand reached the eigensolver")
+
+        monkeypatch.setattr(spectral, "_dense_ground_pair", no_eigensolver)
+        operands = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))]
+        with pytest.raises(qk.ArgumentError):
+            qk.operator_dominates(*(operands[::-1] if swap else operands))
+
+    @pytest.mark.parametrize("a", [
+        np.ones((2, 3)), np.ones(4), np.zeros((0, 0)), np.array([[np.nan]]),
+    ], ids=["2x3", "1-D", "empty", "nan"])
+    def test_operands_that_are_not_square_hermitian_are_rejected(self, a):
+        with pytest.raises(qk.ArgumentError):
+            qk.operator_dominates(a, np.zeros_like(a))
+
 
 class TestRestrictedGroundEnergy:
     def test_pinning_selects_subspace(self):
@@ -462,3 +480,49 @@ class TestRestrictedGroundEnergy:
     def test_invalid_qubit_is_rejected(self, figure_a):
         with pytest.raises(qk.ArgumentError):
             qk.restricted_ground_energy(figure_a, {7: 0})
+
+
+class TestGroundStage:
+    """Every ground energy and verdict takes its pairs from ``_ground_pairs``,
+    and every dense lowest pair comes from ``_dense_ground_pair``."""
+
+    @staticmethod
+    def _unconverged(*args):
+        return 0.25, np.zeros(1, dtype=np.complex128), 1.0
+
+    @pytest.mark.parametrize("run", [
+        lambda b: qk.ground_energy(b),
+        lambda b: qk.ground_energy(b, method="krylov"),
+        lambda b: qk.decide_sat(b),
+        lambda b: qk.decide_sat(b, method="krylov"),
+        lambda b: qk.sample_ensemble(*qk.triangle_double_structure(), 20, seed=3),
+    ], ids=["ground-energy", "ground-energy-krylov", "decide-dense", "decide-krylov",
+            "stacked-sample"])
+    def test_a_residual_over_the_tolerance_raises(self, monkeypatch, figure_b, run):
+        monkeypatch.setattr(spectral, "_dense_ground_pair", self._unconverged)
+        monkeypatch.setattr(spectral, "_krylov_ground_pair", self._unconverged)
+        with pytest.raises(qk.ConvergenceError) as exc:
+            run(figure_b)
+        assert exc.value.best_lambda0 == 0.25
+
+    @pytest.mark.parametrize("run, solves", [
+        (lambda b: qk.decide_sat(b), 1),
+        (lambda b: qk.ground_energy(b, method="dense"), 1),
+        (lambda b: qk.sample_ensemble(*qk.triangle_double_structure(), 20, seed=3), 20),
+        (lambda b: qk.restricted_ground_energy(b, {0: 1}), 1),
+        (lambda b: qk.operator_dominates(b, b), 1),
+        (lambda b: qk.decide_sat(
+            qk.QsatInstance(1, [qk.basis_term((0,), "1")]), method="krylov"), 1),
+    ], ids=["decide-sat", "ground-energy", "stacked-sample", "restricted",
+            "dominance", "one-qubit-krylov"])
+    def test_every_dense_solve_reaches_one_function(self, monkeypatch, figure_b, run, solves):
+        calls = []
+        pair = spectral._dense_ground_pair
+
+        def counted(qmat):
+            calls.append(qmat.shape)
+            return pair(qmat)
+
+        monkeypatch.setattr(spectral, "_dense_ground_pair", counted)
+        run(figure_b)
+        assert len(calls) == solves
