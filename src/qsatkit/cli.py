@@ -1,10 +1,12 @@
 """Command-line front end: solve, analyze, reduce, bounds, and sample.
 
 Exit codes: 0 satisfiable / success, 1 unsatisfiable, 2 indeterminate
-(including solver non-convergence), 3 parse or argument errors, 4 the
-supplied reduction core is satisfiable, 5 a requested verification exceeds
-capacity (the construction file is still written), 6 an internal error (any
-other exception, such as a LAPACK routine that did not converge).
+(including solver non-convergence), 3 parse or argument errors, or a
+requested verification whose check failed (the construction file is still
+written), 4 the supplied reduction core is satisfiable, 5 a requested
+verification exceeds capacity (the construction file is still written), 6
+an internal error (any other exception, such as a LAPACK routine that did
+not converge).
 """
 
 import argparse
@@ -181,6 +183,8 @@ def cmd_reduce(args) -> int:
             "penalty_constant": report.penalty_constant,
             "max_degree": report.max_degree,
             "degree_bound": report.degree_bound,
+            "base_method": report.base_method,
+            "reduced_method": report.reduced_method,
         }
         branch = (
             "input energy at or below the penalty: energies must agree"
@@ -194,7 +198,8 @@ def cmd_reduce(args) -> int:
                 f"  degrees: {'ok' if report.degree_ok else 'FAILED'} "
                 f"(max {report.max_degree} <= bound {report.degree_bound})",
                 f"  energy: {'ok' if report.energy_ok else 'FAILED'} "
-                f"(input {report.base_energy!r}, output {report.reduced_energy!r})",
+                f"(input {report.base_energy!r} [{report.base_method}], "
+                f"output {report.reduced_energy!r} [{report.reduced_method}])",
                 f"  branch: {branch}",
             ]
         )
@@ -306,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd.add_argument(
         "--verify",
         action="store_true",
-        help="check the construction spectrally (small sizes only)",
+        help="check commutation, degrees and ground energies numerically "
+        "(small sizes only; exit 3 when a check fails)",
     )
     reduce_cmd.add_argument("--json", action="store_true")
     reduce_cmd.set_defaults(func=cmd_reduce)

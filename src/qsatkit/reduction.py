@@ -42,7 +42,6 @@ from .spectral import (
     SATISFIABLE,
     UNSATISFIABLE,
     decide_sat,
-    ground_energy,
     operator_dominates,
     restricted_ground_energy,
 )
@@ -126,6 +125,10 @@ class VerificationReport:
     penalty_constant: float
     max_degree: int
     degree_bound: int
+    # The route that gave each energy (``SatVerdict.method``): "nullspace"
+    # for a witness whose energy was checked, else "dense" or "krylov".
+    base_method: str
+    reduced_method: str
 
     @property
     def ok(self) -> bool:
@@ -453,8 +456,14 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     Checks: every term leaves each dummy in a Z eigenstate; the output's
     ground energy matches the input's below the penalty and stays above it
     otherwise; the maximum degree respects the accounting bound.  The
-    spectral items need both instances within ``config.DENSE_MAX_QUBITS``;
-    their ground energies take the ``auto`` route.
+    spectral items need both instances within ``config.DENSE_MAX_QUBITS``.
+
+    Both energies come from ``decide_sat``.  A satisfiable instance is
+    decided by a null-space witness with no eigensolver (``"nullspace"``):
+    its energy is an upper bound on the ground energy, within
+    ``sat_tolerance`` of 0.  Any other instance gets the ground energy of
+    the ``auto`` route, ``"dense"`` or ``"krylov"``, exactly as
+    ``ground_energy`` computes it.
     """
     t = out.t_instance
     dummies = {i for i, role in enumerate(out.role_map) if role == ROLE_DUMMY}
@@ -473,8 +482,9 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
             f"energy verification needs at most {config.DENSE_MAX_QUBITS} qubits, "
             f"got {t.num_qubits}"
         )
-    base = ground_energy(q).lambda0
-    reduced = ground_energy(t).lambda0
+    base_verdict = decide_sat(q)
+    reduced_verdict = decide_sat(t)
+    base, reduced = base_verdict.lambda0, reduced_verdict.lambda0
     penalty = out.penalty_constant
     if base <= penalty:
         energy_ok = abs(reduced - base) <= config.REDUCTION_ENERGY_TOL
@@ -489,4 +499,6 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
         penalty,
         delta_t,
         degree_bound,
+        base_verdict.method,
+        reduced_verdict.method,
     )

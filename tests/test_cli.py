@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qsatkit as qk
-from qsatkit import cli, spectral
+from qsatkit import cli, reduction, spectral
 
 from conftest import near_identity_pair
 
@@ -259,6 +260,39 @@ class TestReduce:
         assert out_path.exists()
         assert qk.load_instance(out_path).num_qubits == 19
         assert "error:" in err
+
+    def test_failed_verification_exits_three_and_still_writes(
+        self, capsys, pair_file, tmp_path, monkeypatch
+    ):
+        real = reduction.verify_reduction
+        monkeypatch.setattr(
+            reduction,
+            "verify_reduction",
+            lambda q, out: dataclasses.replace(real(q, out), energy_ok=False),
+        )
+        out_path = tmp_path / "failed.json"
+        code, out, _ = run_cli(
+            capsys, "reduce", str(pair_file), "--target-k", "3",
+            "--out", str(out_path), "--verify",
+        )
+        assert code == 3
+        assert "energy: FAILED" in out
+        assert out_path.exists()
+
+    def test_verification_reports_the_route_of_each_energy(self, capsys, pair_file):
+        code, out, _ = run_cli(
+            capsys, "reduce", str(pair_file), "--target-k", "3", "--verify", "--json"
+        )
+        verification = json.loads(out)["verification"]
+        assert code == 0
+        assert (verification["base_method"], verification["reduced_method"]) == (
+            "nullspace", "nullspace"
+        )
+        _, out, _ = run_cli(
+            capsys, "reduce", str(pair_file), "--target-k", "3", "--verify"
+        )
+        energy_line = next(line for line in out.splitlines() if "energy:" in line)
+        assert energy_line.count("[nullspace]") == 2
 
     def test_non_minimal_core_needs_opt_in(self, capsys, pair_file, tmp_path, figure_b):
         core_path = tmp_path / "fat-core.json"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsatkit as qk
+from qsatkit import spectral
 from qsatkit.reduction import (
     ROLE_ANCILLA,
     ROLE_DUMMY,
@@ -510,6 +511,37 @@ class TestVerifyReduction:
         report = qk.verify_reduction(q, tampered)
         assert not report.degree_ok
         assert report.commutation_ok
+
+    def test_satisfiable_output_needs_no_eigensolver(self, figure_b_core, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(key=1310))
+        q = qk.QsatInstance(3, [qk.haar_random_term(e, rng) for e in ((0, 1), (1, 2))])
+        out = qk.build_reduction(q, 3, figure_b_core)
+        t = out.t_instance
+        assert t.num_qubits == 11
+
+        def refuse(*_):
+            raise AssertionError("an eigensolver ran")
+
+        monkeypatch.setattr(spectral, "_dense_ground_pair", refuse)
+        monkeypatch.setattr(spectral, "_krylov_ground_pair", refuse)
+        report = qk.verify_reduction(q, out)
+        assert report.ok
+        assert (report.base_method, report.reduced_method) == ("nullspace", "nullspace")
+        assert 0.0 <= report.reduced_energy <= spectral.sat_tolerance(t.num_terms)
+
+    def test_unsatisfiable_output_keeps_the_spectral_energy(self, figure_b_core):
+        # lambda0(q) = 1 - 0.9 = 0.1: above the unsatisfiability floor and
+        # below the penalty, so the 10-qubit output goes to Lanczos.
+        q = qk.QsatInstance(
+            2,
+            [qk.basis_term((0,), "0"), qk.RankOneTerm((0,), [0.9, np.sqrt(0.19)])],
+        )
+        out = qk.build_reduction(q, 2, figure_b_core)
+        report = qk.verify_reduction(q, out)
+        assert report.reduced_method == "krylov"
+        assert report.reduced_energy == qk.ground_energy(out.t_instance).lambda0
+        assert report.energy_ok
+        assert abs(report.reduced_energy - 0.1) <= 1e-8
 
 
 @st.composite
