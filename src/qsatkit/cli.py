@@ -3,8 +3,9 @@
 Exit codes: 0 satisfiable / success, 1 unsatisfiable, 2 indeterminate
 (including solver non-convergence), 3 parse or argument errors, or a
 requested verification whose check failed (the construction file is still
-written), 4 the supplied reduction core is satisfiable, 5 a requested
-verification exceeds capacity (the construction file is still written), 6
+written), 4 the supplied reduction core is satisfiable, 5 a computation
+exceeds capacity, such as a Lanczos iteration larger than physical memory
+(after a requested verification the construction file is still written), 6
 an internal error (any other exception, such as a LAPACK routine that did
 not converge).
 """

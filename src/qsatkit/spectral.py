@@ -4,9 +4,8 @@ Two independent solver routes back every claim in the library:
 
 * a dense route — the full 2^n x 2^n operator is materialized by index
   arithmetic and passed to a Hermitian eigensolver (lowest eigenpair only);
-* a matrix-free Krylov route — an implicitly restarted Lanczos iteration
-  (with deflation of converged Ritz pairs) on the reflected operator
-  ``m*I - Q``, whose top eigenvalue maps back to the ground energy.
+* a matrix-free Krylov route — a thick-restart Lanczos iteration on Q
+  itself, whose lowest Ritz pair is the ground state.
 
 A third mechanism, singular-value-based null-space intersection, needs no
 eigensolve.  It keeps its basis on the qubits the terms seen so far touch,
@@ -34,11 +33,11 @@ lowest eigenpair, including the dominance and pinned-sector checks of the
 gadget reduction, comes from ``_dense_ground_pair``.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from . import config, kernels
 from .errors import (
@@ -48,6 +47,10 @@ from .errors import (
     DimensionMismatchError,
 )
 from .instance import GeneralTerm, QsatInstance, RankOneTerm
+
+_HEEVR, _HEEVR_LWORK = scipy.linalg.get_lapack_funcs(
+    ("heevr", "heevr_lwork"), dtype=np.complex128
+)
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -120,63 +123,143 @@ def _start_vector(dim: int) -> np.ndarray:
 def _dense_ground_pair(qmat):
     """The lowest eigenpair of a dense Hermitian operator, and its residual.
 
-    LAPACK computes that one pair only.  A stack of operators goes through
+    LAPACK's ``heevr`` computes that one pair only, called directly: the
+    ``scipy.linalg.eigh`` wrapper around it took 33 us of an 8 x 8 lowest
+    pair, against 11 us for the call alone (one OpenBLAS thread).  It keeps
+    the checks the wrapper made: a non-finite operator raises ValueError and
+    a failed LAPACK call LinAlgError.  A stack of operators goes through
     here one at a time: a stacked ``np.linalg.eigh`` computes every pair and
     was faster only at 8 x 8 (one OpenBLAS thread: 9.2 against 19.7 ms for
     500 operators), slower from 16 x 16 up (19.8 against 15.4 ms for 250 at
     n = 4, 222 against 54 ms for one at n = 9); with it, a sampled trial on
     an 8-qubit structure took 18.4 ms, against 9.7 ms decided alone.
     """
-    vals, vecs = scipy.linalg.eigh(qmat, subset_by_index=[0, 0])
+    if not np.isfinite(qmat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    # The workspace LAPACK asks for, as the wrapper used: the same pair, bit
+    # for bit.
+    size = len(qmat)
+    lwork, lrwork, liwork, info = _HEEVR_LWORK(size, lower=1)
+    if info == 0:
+        vals, vecs, _, _, info = _HEEVR(
+            qmat, range="I", il=1, iu=1, lower=1,
+            lwork=int(lwork.real), lrwork=int(lrwork), liwork=int(liwork),
+        )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK zheevr failed with info={info}")
     vec = vecs[:, 0]
     residual = float(np.linalg.norm(qmat @ vec - vals[0] * vec))
     return float(vals[0]), vec, residual
 
 
-def _krylov_ground_pair(instance):
+def _physical_memory():
+    """Bytes of physical memory on this machine, or None where the operating
+    system does not report them."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+# Columns of the basis that one step of a thick restart combines at once.
+_RESTART_BLOCK = 4096
+
+
+def _krylov_bytes(instance, ncv, keep):
+    """Bytes the Lanczos iteration of ``_krylov_ground_pair`` holds at once:
+    its (ncv + 1) x 2^n basis, the restart's working block, four vectors of
+    working space (the Ritz vector and its residual check, the numpy
+    kernel's scratch and index arrays), and the applier's plans: each term's
+    int64 bases and offsets and its complex payload."""
     n = instance.num_qubits
     dim = 1 << n
-    m = instance.num_terms
-    applier = kernels.InstanceApplier(instance)
-    if dim <= 2:
-        # ARPACK requires k < dim - 1, so a 2-dimensional problem cannot be
-        # iterated; materialize the operator through the applier instead.
-        return _dense_ground_pair(applier(np.eye(dim, dtype=np.complex128)))
-    shift = float(m)
-    op = scipy.sparse.linalg.LinearOperator(
-        shape=(dim, dim),
-        matvec=lambda x: shift * x - applier(x),
-        dtype=np.complex128,
-    )
+    rows = (ncv + 1) * dim + keep * min(dim, _RESTART_BLOCK) + 4 * dim
+    plans = 0
+    for term in instance.terms:
+        fiber = 1 << len(term.support)
+        plans += 8 * ((dim >> len(term.support)) + fiber)
+        plans += 16 * (fiber if isinstance(term, RankOneTerm) else fiber * fiber)
+    return 16 * rows + plans
+
+
+def _krylov_ground_pair(instance):
+    """The lowest eigenpair of an instance's operator Q, and its residual, by
+    a thick-restart Lanczos iteration on Q (Wu and Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000).
+
+    The basis holds up to ncv = min(KRYLOV_NCV, 2^n) orthonormal rows and
+    the next Lanczos vector; each matvec is orthogonalized against all of
+    them by two passes of classical Gram-Schmidt.  The projected matrix is
+    real and symmetric: tridiagonal, with the kept Ritz values on its
+    diagonal and their couplings in one row and column after a restart.  A
+    full basis restarts on its lowest ncv // 2 Ritz vectors, combined in
+    place in blocks of columns, so no second block of rows is allocated.
+    The iteration stops when the lowest Ritz pair's residual beta |y_last|
+    is at most KRYLOV_TOL * m.  A beta within that bound marks an invariant
+    subspace and also ends it; a register of at most KRYLOV_NCV dimensions
+    always reaches one, so it needs no special case.  After 10 * 2^n
+    restarts it raises ConvergenceError with the lowest Ritz pair.  Before
+    anything is allocated, an iteration that would need more bytes than the
+    machine's physical memory raises CapacityError.
+    """
+    n = instance.num_qubits
+    dim = 1 << n
     ncv = min(dim, config.KRYLOV_NCV)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            op,
-            k=1,
-            which="LA",
-            ncv=ncv,
-            tol=config.KRYLOV_TOL,
-            v0=_start_vector(dim),
+    keep = ncv // 2
+    need, have = _krylov_bytes(instance, ncv, keep), _physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(
+            f"the Lanczos iteration on {n} qubits would take {need} bytes; "
+            f"this machine has {have}"
         )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        best_lambda0 = best_vector = None
-        if getattr(exc, "eigenvalues", None) is not None and len(exc.eigenvalues):
-            best_lambda0 = float(shift - exc.eigenvalues[-1])
-            best_vector = exc.eigenvectors[:, -1]
-        raise ConvergenceError(
-            f"Lanczos iteration did not converge: {exc}",
-            best_lambda0=best_lambda0,
-            best_vector=best_vector,
-        ) from exc
-    except ValueError as exc:
-        raise ArgumentError(
-            f"matrix-free path rejected a {dim}-dimensional problem: {exc}"
-        ) from exc
-    vec = vecs[:, 0]
-    vec = vec / np.linalg.norm(vec)
-    lam = float(shift - vals[0])
-    residual = float(np.linalg.norm(applier(vec) - lam * vec))
-    return lam, vec, residual
+    applier = kernels.InstanceApplier(instance)
+    tol = config.KRYLOV_TOL * instance.num_terms
+    basis = np.empty((ncv + 1, dim), dtype=np.complex128)
+    basis[0] = _start_vector(dim)
+    proj = np.zeros((ncv, ncv))
+    start = restarts = 0
+    while True:
+        size = ncv
+        for j in range(start, ncv):
+            w = applier(basis[j], out=basis[j + 1])
+            done = basis[:j + 1]
+            coef = (done @ w.conj()).conj()
+            w -= coef @ done
+            again = (done @ w.conj()).conj()
+            w -= again @ done
+            proj[j, j] = coef[j].real + again[j].real
+            beta = np.linalg.norm(w)
+            if beta <= tol:
+                size = j + 1
+                break
+            w /= beta
+            if j + 1 < ncv:
+                proj[j, j + 1] = proj[j + 1, j] = beta
+        theta, ritz = scipy.linalg.eigh(proj[:size, :size])
+        converged = beta * abs(ritz[-1, 0]) <= tol
+        if converged or restarts == 10 * dim:
+            vec = ritz[:, 0] @ basis[:size]
+            vec /= np.linalg.norm(vec)
+            lam = float(theta[0])
+            if not converged:
+                raise ConvergenceError(
+                    f"Lanczos iteration did not converge in {restarts} restarts",
+                    best_lambda0=lam,
+                    best_vector=vec,
+                )
+            residual = float(np.linalg.norm(applier(vec) - lam * vec))
+            return lam, vec, residual
+        restarts += 1
+        combine = ritz[:, :keep].T.astype(np.complex128)
+        for col in range(0, dim, _RESTART_BLOCK):
+            block = basis[:size, col:col + _RESTART_BLOCK]
+            basis[:keep, col:col + _RESTART_BLOCK] = combine @ block
+        basis[keep] = basis[size]
+        proj[:] = 0
+        proj[range(keep), range(keep)] = theta[:keep]
+        proj[keep, :keep] = proj[:keep, keep] = beta * ritz[-1, :keep]
+        start = keep
 
 
 def _route(n, method):

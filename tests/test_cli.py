@@ -140,6 +140,13 @@ class TestSolve:
         assert err.startswith("error: Lanczos iteration did not converge")
         assert "0.25" in err
 
+    def test_krylov_beyond_physical_memory_exits_capacity(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 1 << 10)
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-b", "--method", "krylov")
+        assert code == cli.EXIT_CAPACITY == 5
+        assert out == ""
+        assert "Lanczos iteration" in err
+
     def test_krylov_method_on_single_qubit_file(self, capsys, tmp_path):
         path = tmp_path / "blocked.json"
         qk.save_instance(
@@ -439,6 +446,17 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "transmogrify")
         assert code == 3
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse costs tens of milliseconds on every CLI start.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qsatkit, qsatkit.cli; print('scipy.sparse' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,6 +210,61 @@ class TestGroundEnergy:
         open_level = qk.QsatInstance(1, [qk.RankOneTerm((0,), [1.0, 0.0])])
         result = qk.ground_energy(open_level, method="krylov")
         assert result.lambda0 == pytest.approx(0.0, abs=1e-12)
+
+    @given(mixed_instances(max_qubits=3))
+    @settings(max_examples=40, deadline=None)
+    def test_forced_krylov_matches_dense_on_small_registers(self, inst):
+        # A space of at most KRYLOV_NCV dimensions ends in an invariant
+        # subspace, down to one qubit, with no dense detour.
+        dense = qk.ground_energy(inst, method="dense")
+        krylov = qk.ground_energy(inst, method="krylov")
+        assert krylov.method == "krylov"
+        assert abs(krylov.lambda0 - dense.lambda0) <= 1e-12
+
+    def test_forced_krylov_restarts_on_general_terms(self):
+        # 2^7 > KRYLOV_NCV: the basis fills and restarts.
+        rng = np.random.Generator(np.random.Philox(key=7))
+        terms = []
+        for support in ((0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 0), (1, 4)):
+            cols = rng.standard_normal((1 << len(support), 2)) + 1j * rng.standard_normal(
+                (1 << len(support), 2))
+            q, _ = np.linalg.qr(cols)
+            terms.append(qk.GeneralTerm(support, q @ q.conj().T))
+        inst = qk.QsatInstance(7, terms)
+        krylov = qk.ground_energy(inst, method="krylov")
+        assert krylov.method == "krylov"
+        assert abs(krylov.lambda0 - oracle_lambda0(inst)) <= 1e-12
+        assert krylov.residual <= qk.config.RESIDUAL_TOL
+
+    def test_krylov_on_a_degenerate_near_frustration_free_instance(self):
+        # k = 3, m = n = 10: a 24-dimensional null space, next eigenvalue 2.0e-4.
+        inst = random_instance(np.random.Generator(np.random.Philox(key=71)), 10, 10, k=3)
+        spectrum = np.linalg.eigvalsh(oracle_matrix(inst))
+        assert (spectrum < 1e-9).sum() == 24 and spectrum[24] > 1e-4
+        result = qk.ground_energy(inst, method="krylov")
+        assert abs(result.lambda0 - spectrum[0]) <= 1e-10
+        assert result.residual <= qk.config.RESIDUAL_TOL
+
+    def test_krylov_restart_cap_raises_with_the_best_iterate(self, monkeypatch):
+        # No pair meets a zero tolerance, so the 10 * 2^n restarts run out.
+        monkeypatch.setattr(qk.config, "KRYLOV_NCV", 4)
+        monkeypatch.setattr(qk.config, "KRYLOV_TOL", 0.0)
+        inst = random_instance(np.random.Generator(np.random.Philox(key=5)), 4, 5)
+        with pytest.raises(qk.ConvergenceError, match="160 restarts") as exc:
+            spectral._krylov_ground_pair(inst)
+        assert abs(exc.value.best_lambda0 - oracle_lambda0(inst)) <= 1e-9
+        assert exc.value.best_vector.shape == (16,)
+        assert np.linalg.norm(exc.value.best_vector) == pytest.approx(1.0)
+
+    def test_krylov_refuses_more_than_physical_memory(self, monkeypatch, figure_b):
+        # The estimate counts the (KRYLOV_NCV + 1) x 2^n basis and more.
+        n = figure_b.num_qubits
+        basis = (min(1 << n, qk.config.KRYLOV_NCV) + 1) * 16 << n
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: basis)
+        with pytest.raises(qk.CapacityError, match="Lanczos"):
+            qk.ground_energy(figure_b, method="krylov")
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 4 * basis)
+        assert qk.ground_energy(figure_b, method="krylov").method == "krylov"
 
     def test_unknown_method_is_rejected(self, figure_a):
         with pytest.raises(qk.ArgumentError):
@@ -486,6 +542,22 @@ class TestGroundStage:
     """Every ground energy and verdict takes its pairs from ``_ground_pairs``,
     and every dense lowest pair comes from ``_dense_ground_pair``."""
 
+    @pytest.mark.parametrize("size", [1, 2, 8, 64])
+    def test_dense_pair_is_the_eigh_pair(self, size):
+        # The direct LAPACK call asks for the workspace the wrapper used.
+        rng = np.random.Generator(np.random.Philox(key=size))
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        qmat = a + a.conj().T
+        vals, vecs = scipy.linalg.eigh(qmat, subset_by_index=[0, 0])
+        lam, vec, residual = spectral._dense_ground_pair(qmat)
+        assert lam == vals[0]
+        assert np.array_equal(vec, vecs[:, 0])
+        assert residual <= 1e-12
+
+    def test_dense_pair_refuses_non_finite_operators(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral._dense_ground_pair(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
     @staticmethod
     def _unconverged(*args):
         return 0.25, np.zeros(1, dtype=np.complex128), 1.0
@@ -511,10 +583,8 @@ class TestGroundStage:
         (lambda b: qk.sample_ensemble(*qk.triangle_double_structure(), 20, seed=3), 20),
         (lambda b: qk.restricted_ground_energy(b, {0: 1}), 1),
         (lambda b: qk.operator_dominates(b, b), 1),
-        (lambda b: qk.decide_sat(
-            qk.QsatInstance(1, [qk.basis_term((0,), "1")]), method="krylov"), 1),
     ], ids=["decide-sat", "ground-energy", "stacked-sample", "restricted",
-            "dominance", "one-qubit-krylov"])
+            "dominance"])
     def test_every_dense_solve_reaches_one_function(self, monkeypatch, figure_b, run, solves):
         calls = []
         pair = spectral._dense_ground_pair
