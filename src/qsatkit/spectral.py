@@ -168,19 +168,16 @@ _RESTART_BLOCK = 4096
 
 def _krylov_bytes(instance, ncv, keep):
     """Bytes the Lanczos iteration of ``_krylov_ground_pair`` holds at once:
-    its (ncv + 1) x 2^n basis, the restart's working block, four vectors of
-    working space (the Ritz vector and its residual check, the numpy
-    kernel's scratch and index arrays), and the applier's plans: each term's
-    int64 bases and offsets and its complex payload."""
-    n = instance.num_qubits
-    dim = 1 << n
-    rows = (ncv + 1) * dim + keep * min(dim, _RESTART_BLOCK) + 4 * dim
-    plans = 0
-    for term in instance.terms:
-        fiber = 1 << len(term.support)
-        plans += 8 * ((dim >> len(term.support)) + fiber)
-        plans += 16 * (fiber if isinstance(term, RankOneTerm) else fiber * fiber)
-    return 16 * rows + plans
+    its (ncv + 1) x 2^n basis, the real ncv x ncv projected matrix and its
+    eigenvectors, the restart's working block, four vectors of working space
+    (the Ritz vector and its residual check, Gram-Schmidt's temporaries),
+    and the default backend's applier with a matvec's temporaries
+    (``kernels._applier_bytes``).  The sum is an upper bound: the working
+    vectors and the matvec's temporaries are free while the restart holds
+    its block and coefficients."""
+    dim = 1 << instance.num_qubits
+    rows = (ncv + 1) * dim + ncv * ncv + keep * min(dim, _RESTART_BLOCK) + 4 * dim
+    return 16 * rows + kernels._applier_bytes(instance)
 
 
 def _krylov_ground_pair(instance):
@@ -236,7 +233,7 @@ def _krylov_ground_pair(instance):
             w /= beta
             if j + 1 < ncv:
                 proj[j, j + 1] = proj[j + 1, j] = beta
-        theta, ritz = scipy.linalg.eigh(proj[:size, :size])
+        theta, ritz = np.linalg.eigh(proj[:size, :size])
         converged = beta * abs(ritz[-1, 0]) <= tol
         if converged or restarts == 10 * dim:
             vec = ritz[:, 0] @ basis[:size]

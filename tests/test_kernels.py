@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsatkit as qk
 from qsatkit import kernels
@@ -15,6 +16,9 @@ from qsatkit.kernels import fiber_layout
 from conftest import embed_matrix, mixed_instances, oracle_matrix, random_instance
 
 BACKENDS = ["pure-python", "compiled"]
+
+# Supports and fiber sizes of rank-1 terms that do not fit 3 qubits.
+MISFITS = [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)]
 
 
 def rand_state(rng, num_qubits, cols=None):
@@ -144,7 +148,7 @@ class TestApplier:
         with pytest.raises(qk.ArgumentError):
             qk.InstanceApplier(inst, backend=backend)(np.ones(8), out=out)
 
-    @pytest.mark.parametrize("support, fiber", [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)])
+    @pytest.mark.parametrize("support, fiber", MISFITS)
     def test_compiled_plans_must_fit_the_register(self, compiled_library, monkeypatch,
                                                   support, fiber):
         # Out-of-range and repeated qubits, and a payload shorter than the fiber.
@@ -156,6 +160,15 @@ class TestApplier:
         inst = SimpleNamespace(num_qubits=3, terms=(qk.RankOneTerm(support, amplitudes),))
         with pytest.raises(qk.ArgumentError):
             qk.InstanceApplier(inst, backend="compiled")
+
+    @pytest.mark.parametrize("support, fiber", MISFITS)
+    def test_numpy_plans_must_fit_the_register(self, support, fiber):
+        # scipy's CSR products do not check their indices either.
+        amplitudes = np.zeros(fiber)
+        amplitudes[0] = 1.0
+        inst = SimpleNamespace(num_qubits=3, terms=(qk.RankOneTerm(support, amplitudes),))
+        with pytest.raises(qk.ArgumentError):
+            qk.InstanceApplier(inst, backend="pure-python")
 
     def test_dimension_mismatch_is_rejected(self):
         inst = qk.QsatInstance(3, [qk.basis_term((0,), "0")])
@@ -222,3 +235,16 @@ def test_kernels_and_assembly_match_the_oracle(compiled_library, inst):
     assert np.abs(fast - pure).max(initial=0.0) <= 1e-13
     for applied in (pure, fast):
         assert np.abs(applied - oracle @ state).max(initial=0.0) <= 1e-12
+
+
+@given(mixed_instances(max_qubits=6), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_numpy_kernel_matches_assembly_on_batches(inst, batch):
+    """The numpy kernel's sparse factor against assemble_dense, on single
+    states and on (dim, batch) blocks, which go through the factor whole."""
+    rng = np.random.Generator(np.random.Philox(key=batch))
+    states = rand_state(rng, inst.num_qubits, cols=batch or None)
+    applied = qk.InstanceApplier(inst, backend="pure-python")(states)
+    expected = qk.assemble_dense(inst) @ states
+    assert applied.shape == states.shape
+    assert np.abs(applied - expected).max(initial=0.0) <= 1e-12

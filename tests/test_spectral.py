@@ -21,7 +21,7 @@ from conftest import (
     oracle_matrix,
     random_instance,
 )
-from qsatkit import spectral
+from qsatkit import kernels, spectral
 from qsatkit.spectral import _actions, _local_nullspace_basis, _null_directions, sat_tolerance
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
@@ -265,6 +265,26 @@ class TestGroundEnergy:
             qk.ground_energy(figure_b, method="krylov")
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 4 * basis)
         assert qk.ground_energy(figure_b, method="krylov").method == "krylov"
+
+    @pytest.mark.parametrize("backend", ["pure-python", "compiled"], indirect=True)
+    def test_krylov_estimate_covers_the_traced_peak(self, backend, monkeypatch, figure_b):
+        # The estimate follows the default backend, so the numpy case must
+        # not find an installed C kernel.
+        if backend == "pure-python":
+            monkeypatch.setattr(kernels, "_compiled", None)
+        inst = random_instance(np.random.Generator(np.random.Philox(key=12)), 12, 24, k=3)
+        ncv = qk.config.KRYLOV_NCV
+        estimate = spectral._krylov_bytes(inst, ncv, ncv // 2)
+        # A first solve imports scipy.sparse outside the trace.
+        qk.ground_energy(figure_b, method="krylov")
+        tracemalloc.start()
+        try:
+            result = qk.ground_energy(inst, method="krylov")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.method == "krylov"
+        assert estimate >= peak
 
     def test_unknown_method_is_rejected(self, figure_a):
         with pytest.raises(qk.ArgumentError):
