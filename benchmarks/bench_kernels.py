@@ -1,21 +1,14 @@
-"""Benchmark the compiled C99 kernel against the numpy (pure-Python) kernel.
+"""Time the matvec kernel: one sparse-factor product Q @ x per repeat.
 
-Both backends apply the operator of an instance to a state vector from the
-same ``fiber_layout`` plan: the C loops walk it, and the numpy kernel builds
-its sparse factor from it.  The comparison is a single matvec loop per
-backend on identical inputs.  The script raises if the backends disagree,
-or if a backend's <x|Q x> differs from the energy summed term by term over
-the fibers.  The compiled backend is timed only when
-``src/qsatkit/_fiber.c`` has been built, for example with
-``python setup.py build_ext --inplace``.  Output
-with ``--repeats 100`` on a 2-core x86 host with gcc and one OpenBLAS
+``InstanceApplier`` builds its sparse factor B, with Q = B^H B, from the
+terms' ``fiber_layout`` plans.  Before timing, the script raises if
+<x|Q x> differs from the energy summed term by term over the fibers.
+Output with ``--repeats 100`` on a 2-core x86 host with one OpenBLAS
 thread::
 
-    qubits  terms   k  backend        best matvec    speedup
-         8     20   3  pure-python       0.047 ms       1.0x
-         8     20   3  compiled          0.080 ms       0.6x
-        10     20   3  pure-python       0.111 ms       1.0x
-        10     20   3  compiled          0.181 ms       0.6x
+    qubits  terms   k     best matvec
+         8     20   3        0.023 ms
+        10     20   3        0.065 ms
         ...
 
 Run as ``python benchmarks/bench_kernels.py`` from the repository root.
@@ -79,34 +72,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    backends = ["pure-python"]
-    if qk.compiled_available():
-        backends.append("compiled")
-    else:
-        print("note: compiled kernels unavailable; timing the fallback only")
-
-    print(f"{'qubits':>6}  {'terms':>5}  {'k':>2}  {'backend':<12}"
-          f"{'best matvec':>14}  {'speedup':>9}")
+    print(f"{'qubits':>6}  {'terms':>5}  {'k':>2}  {'best matvec':>14}")
     for n in args.qubits:
         instance, state = build_case(n, args.terms, args.k, args.seed)
         energy = fiber_energy(instance, state)
-        baseline = None
-        for backend in backends:
-            applier = qk.InstanceApplier(instance, backend=backend)
-            reference = qk.InstanceApplier(instance, backend=backends[0])(state)
-            applied = applier(state)
-            if not np.allclose(applied, reference, atol=1e-10):
-                raise AssertionError(f"backend {backend} disagrees at n={n}")
-            if abs(np.vdot(state, applied).real - energy) > 1e-10 * max(1.0, energy):
-                raise AssertionError(f"backend {backend} misses the fiber energy at n={n}")
-            elapsed = best_time(applier, state, args.repeats)
-            if baseline is None:
-                baseline = elapsed
-            print(
-                f"{n:>6}  {args.terms:>5}  {args.k:>2}  {backend:<12}"
-                f"{elapsed * 1e3:>11.3f} ms  {baseline / elapsed:>8.1f}x"
-            )
-
+        applier = qk.InstanceApplier(instance)
+        if abs(np.vdot(state, applier(state)).real - energy) > 1e-10 * max(1.0, energy):
+            raise AssertionError(f"the kernel misses the fiber energy at n={n}")
+        elapsed = best_time(applier, state, args.repeats)
+        print(f"{n:>6}  {args.terms:>5}  {args.k:>2}  {elapsed * 1e3:>11.3f} ms")
 
 if __name__ == "__main__":
     main()

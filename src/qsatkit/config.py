@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import ArgumentError
+from .errors import ArgumentError, CapacityError
 
 DEFAULT_MAX_QUBITS = 20
 
@@ -70,6 +70,33 @@ def max_qubits() -> int:
     if not value:
         return DEFAULT_MAX_QUBITS
     try:
-        return int(value)
+        ceiling = int(value)
     except ValueError:
         raise ArgumentError(f"QSAT_MAX_QUBITS must be an integer, got {value!r}") from None
+    if ceiling < 1:
+        raise ArgumentError(f"QSAT_MAX_QUBITS must be at least 1, got {value!r}")
+    return ceiling
+
+
+def physical_memory():
+    """Bytes of physical memory on this machine, or None where the operating
+    system does not report them."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+def check_per_qubit_list(num_qubits, what):
+    """Raise CapacityError if a list with one entry per qubit of a
+    ``num_qubits`` register, with the tuple copy its caller returns, would
+    exceed physical memory: 16 bytes a qubit, an 8-byte slot in each.  A
+    declared register has no ceiling of its own outside the solvers, so this
+    is checked before such a list is built."""
+    need, have = 16 * num_qubits, physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(
+            f"{what} on {num_qubits} qubits would take {need} bytes; "
+            f"this machine has {have}"
+        )

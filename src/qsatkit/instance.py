@@ -304,7 +304,12 @@ def _term_violations(term, num_qubits, max_support):
 
 
 def degree_profile(instance: QsatInstance) -> DegreeProfile:
-    """Count, for each qubit, the terms acting non-trivially on it."""
+    """Count, for each qubit, the terms acting non-trivially on it.
+
+    Raises CapacityError before counting when a list with an entry per
+    declared qubit would exceed physical memory.
+    """
+    config.check_per_qubit_list(instance.num_qubits, "a degree profile")
     counts = [0] * instance.num_qubits
     for term in instance.terms:
         for q in term.support:

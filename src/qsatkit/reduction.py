@@ -384,7 +384,9 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
 
     Ground energies agree below c_k and the output never dips below c_k
     otherwise; the adjusted promise gap is min(gap, c_k).  Construction has
-    no size ceiling — only verification does.
+    no size ceiling — only verification does — but it raises CapacityError
+    before building its per-qubit role list when that list would exceed
+    physical memory.
     """
     if target_k < 1:
         raise ArgumentError("target locality must be positive")
@@ -395,6 +397,7 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
         raise ArgumentError(f"instance is {k}-local; cannot reduce to locality {target_k}")
     gadget = build_enforcing_gadget(r)
     penalty = gadget.penalty_constant
+    config.check_per_qubit_list(q.num_qubits, "a reduction's role list")
     roles = [ROLE_WORK] * q.num_qubits
     next_free = q.num_qubits
     terms_out = []

@@ -33,7 +33,6 @@ lowest eigenpair, including the dominance and pinned-sector checks of the
 gadget reduction, comes from ``_dense_ground_pair``.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,16 +151,6 @@ def _dense_ground_pair(qmat):
     return float(vals[0]), vec, residual
 
 
-def _physical_memory():
-    """Bytes of physical memory on this machine, or None where the operating
-    system does not report them."""
-    try:
-        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return page * pages if page > 0 and pages > 0 else None
-
-
 # Columns of the basis that one step of a thick restart combines at once.
 _RESTART_BLOCK = 4096
 
@@ -171,7 +160,7 @@ def _krylov_bytes(instance, ncv, keep):
     its (ncv + 1) x 2^n basis, the real ncv x ncv projected matrix and its
     eigenvectors, the restart's working block, four vectors of working space
     (the Ritz vector and its residual check, Gram-Schmidt's temporaries),
-    and the default backend's applier with a matvec's temporaries
+    and the applier's sparse factor with a matvec's temporaries
     (``kernels._applier_bytes``).  The sum is an upper bound: the working
     vectors and the matvec's temporaries are free while the restart holds
     its block and coefficients."""
@@ -204,7 +193,7 @@ def _krylov_ground_pair(instance):
     dim = 1 << n
     ncv = min(dim, config.KRYLOV_NCV)
     keep = ncv // 2
-    need, have = _krylov_bytes(instance, ncv, keep), _physical_memory()
+    need, have = _krylov_bytes(instance, ncv, keep), config.physical_memory()
     if have is not None and need > have:
         raise CapacityError(
             f"the Lanczos iteration on {n} qubits would take {need} bytes; "

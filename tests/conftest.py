@@ -10,16 +10,12 @@ tautology.
 from __future__ import annotations
 
 import math
-import shutil
-import subprocess
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import qsatkit as qk
-from qsatkit import kernels
 
 
 def embed_matrix(num_qubits: int, support, matrix: np.ndarray) -> np.ndarray:
@@ -27,7 +23,7 @@ def embed_matrix(num_qubits: int, support, matrix: np.ndarray) -> np.ndarray:
 
     Built as ``kron(matrix, identity)`` followed by an explicit index
     relabelling computed bit by bit, independent of the package's
-    gather/scatter kernels.
+    fiber plans and sparse factor.
     """
     support = tuple(support)
     k = len(support)
@@ -131,32 +127,6 @@ def mixed_instances(draw, max_qubits=5):
         else:
             terms.append(qk.haar_random_term(support, rng))
     return qk.QsatInstance(n, terms)
-
-
-@pytest.fixture(scope="session")
-def compiled_library(tmp_path_factory):
-    """The C kernel source compiled for this session and bound as the
-    package binds an installed build, whether or not one is installed."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler on PATH")
-    directory = tmp_path_factory.mktemp("kernels")
-    source = Path(kernels.__file__).with_name("_fiber.c")
-    subprocess.run(
-        [cc, "-std=c99", "-O2", "-shared", "-fPIC", str(source),
-         "-o", str(directory / "_fiber.so")],
-        check=True,
-    )
-    return kernels.load_compiled(directory)
-
-
-@pytest.fixture
-def backend(request, monkeypatch):
-    """Indirect parameter naming a backend; "compiled" runs the session's
-    build of the C kernel."""
-    if request.param == "compiled":
-        monkeypatch.setattr(kernels, "_compiled", request.getfixturevalue("compiled_library"))
-    return request.param
 
 
 @pytest.fixture(scope="session")

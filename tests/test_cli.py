@@ -141,7 +141,7 @@ class TestSolve:
         assert "0.25" in err
 
     def test_krylov_beyond_physical_memory_exits_capacity(self, capsys, monkeypatch):
-        monkeypatch.setattr(spectral, "_physical_memory", lambda: 1 << 10)
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 10)
         code, out, err = run_cli(capsys, "solve", "builtin:figure-b", "--method", "krylov")
         assert code == cli.EXIT_CAPACITY == 5
         assert out == ""
@@ -211,6 +211,19 @@ class TestAnalyze:
         hash_a = json.loads(out_a)["structure_hash"]
         hash_b = json.loads(out_b)["structure_hash"]
         assert hash_a == hash_b
+
+    def test_huge_register_exits_capacity(self, capsys, monkeypatch, tmp_path, figure_b):
+        # analyze and reduce have no qubit ceiling, so a declared register
+        # is checked against memory before a per-qubit list is built.
+        path = tmp_path / "huge.json"
+        qk.save_instance(path, qk.QsatInstance(10**15, figure_b.terms))
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        for argv in (["analyze", str(path)],
+                     ["reduce", str(path), "--target-k", "3", "--out", str(tmp_path / "out.json")]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == cli.EXIT_CAPACITY == 5
+            assert out == ""
+            assert "on 1000000000000000 qubits would take" in err
 
 
 class TestReduce:
@@ -437,6 +450,14 @@ class TestTopLevel:
         assert code == 3
         assert out == ""
         assert err.splitlines() == ["error: QSAT_MAX_QUBITS must be an integer, got 'abc'"]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_qubit_ceiling_below_one_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QSAT_MAX_QUBITS", value)
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-b")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: QSAT_MAX_QUBITS must be at least 1, got {value!r}"]
 
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys)

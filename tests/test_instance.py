@@ -177,6 +177,11 @@ class TestDegreeProfile:
         profile = qk.degree_profile(inst)
         assert sum(profile.per_qubit) == sum(t.k for t in inst.terms)
 
+    def test_huge_register_is_refused_before_counting(self, monkeypatch, figure_b):
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        with pytest.raises(qk.CapacityError, match="degree profile"):
+            qk.degree_profile(qk.QsatInstance(10**15, figure_b.terms))
+
     def test_locality(self, figure_b):
         assert qk.locality(figure_b) == 2
         assert qk.locality(qk.QsatInstance(4, [])) == 0

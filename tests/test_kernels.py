@@ -1,4 +1,4 @@
-"""Operator application kernels: layout, backends, and oracle agreement."""
+"""Operator application: fiber layout, the sparse-factor kernel, and oracle agreement."""
 
 from __future__ import annotations
 
@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsatkit as qk
-from qsatkit import kernels
 from qsatkit.kernels import fiber_layout
 
 from conftest import embed_matrix, mixed_instances, oracle_matrix, random_instance
-
-BACKENDS = ["pure-python", "compiled"]
 
 # Supports and fiber sizes of rank-1 terms that do not fit 3 qubits.
 MISFITS = [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)]
@@ -47,33 +44,30 @@ class TestFiberLayout:
 
 
 class TestApplier:
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_independent_embedding(self, backend, seed):
+    def test_matches_independent_embedding(self, seed):
         rng = np.random.Generator(np.random.Philox(key=seed))
         n = int(rng.integers(2, 6))
         inst = random_instance(rng, n, num_terms=int(rng.integers(1, 5)),
                                k=int(rng.integers(1, min(n, 3) + 1)))
         state = rand_state(rng, n)
-        applier = qk.InstanceApplier(inst, backend=backend)
+        applier = qk.InstanceApplier(inst)
         expected = oracle_matrix(inst) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-    def test_general_terms_are_supported(self, backend):
+    def test_general_terms_are_supported(self):
         rng = np.random.Generator(np.random.Philox(key=77))
         mat = np.zeros((4, 4), dtype=np.complex128)
         mat[0, 0] = mat[3, 3] = 1.0
         inst = qk.QsatInstance(3, [qk.GeneralTerm((2, 0), mat)])
         state = rand_state(rng, 3)
-        applier = qk.InstanceApplier(inst, backend=backend)
+        applier = qk.InstanceApplier(inst)
         expected = embed_matrix(3, (2, 0), mat) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-    def test_general_terms_in_fortran_order(self, backend):
+    def test_general_terms_in_fortran_order(self):
         # A conjugate transpose is a column-major view, and the term keeps
-        # that order; a row-major reader of it would apply conj(P), not P.
+        # that order; reading it as row-major would apply conj(P), not P.
         rng = np.random.Generator(np.random.Philox(key=78))
         vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         vec /= np.linalg.norm(vec)
@@ -83,24 +77,14 @@ class TestApplier:
         inst = qk.QsatInstance(3, [term])
         state = rand_state(rng, 3)
         expected = embed_matrix(3, (2, 0), proj.conj().T) @ state
-        applied = qk.InstanceApplier(inst, backend=backend)(state)
+        applied = qk.InstanceApplier(inst)(state)
         assert np.abs(applied - expected).max() <= 1e-12
 
-    def test_backends_agree(self, compiled_library, monkeypatch):
-        monkeypatch.setattr(kernels, "_compiled", compiled_library)
-        rng = np.random.Generator(np.random.Philox(key=5))
-        inst = random_instance(rng, 7, num_terms=9, k=3)
-        state = rand_state(rng, 7)
-        fast = qk.InstanceApplier(inst, backend="compiled")
-        slow = qk.InstanceApplier(inst, backend="pure-python")
-        assert np.allclose(fast(state), slow(state), atol=1e-13)
-
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-    def test_batched_states_apply_columnwise(self, backend):
+    def test_batched_states_apply_columnwise(self):
         rng = np.random.Generator(np.random.Philox(key=9))
         inst = random_instance(rng, 4, num_terms=3)
         block = rand_state(rng, 4, cols=5)
-        applier = qk.InstanceApplier(inst, backend=backend)
+        applier = qk.InstanceApplier(inst)
         batched = applier(block)
         for j in range(5):
             assert np.allclose(batched[:, j], applier(block[:, j]), atol=1e-12)
@@ -113,29 +97,26 @@ class TestApplier:
         result = qk.InstanceApplier(inst)(state, out=out)
         assert result is out
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-    def test_out_sharing_memory_with_state_is_rejected(self, backend):
-        # out is zeroed before state is read, so out=x would give zeros.
+    def test_out_sharing_memory_with_state_is_rejected(self):
+        # Q @ x is not an in-place update: out=x is refused and x is kept.
         inst = qk.QsatInstance(2, [qk.basis_term((0,), "0")])
         x = np.array([1, 0, 0, 0], dtype=np.complex128)
-        applier = qk.InstanceApplier(inst, backend=backend)
+        applier = qk.InstanceApplier(inst)
         assert applier(x).tolist() == [1, 0, 0, 0]
         with pytest.raises(qk.ArgumentError):
             applier(x, out=x)
         assert x.tolist() == [1, 0, 0, 0]
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("shape", [(4,), (8, 1), (16,)])
-    def test_out_of_the_wrong_shape_is_rejected(self, backend, shape):
+    def test_out_of_the_wrong_shape_is_rejected(self, shape):
         inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
         out = np.full(shape, 7.0 + 0j)
         with pytest.raises(qk.DimensionMismatchError):
-            qk.InstanceApplier(inst, backend=backend)(np.ones(8), out=out)
+            qk.InstanceApplier(inst)(np.ones(8), out=out)
         assert (out == 7.0).all()
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("layout", ["float64", "strided", "read-only", "list"])
-    def test_out_of_the_wrong_layout_is_rejected(self, backend, layout):
+    def test_out_of_the_wrong_layout_is_rejected(self, layout):
         inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
         out = {
             "float64": np.zeros(8),
@@ -146,55 +127,34 @@ class TestApplier:
         if layout == "read-only":
             out.setflags(write=False)
         with pytest.raises(qk.ArgumentError):
-            qk.InstanceApplier(inst, backend=backend)(np.ones(8), out=out)
-
-    @pytest.mark.parametrize("support, fiber", MISFITS)
-    def test_compiled_plans_must_fit_the_register(self, compiled_library, monkeypatch,
-                                                  support, fiber):
-        # Out-of-range and repeated qubits, and a payload shorter than the fiber.
-        # A QsatInstance refuses these terms itself, so a stand-in with the two
-        # attributes the applier reads carries them to the plan check.
-        monkeypatch.setattr(kernels, "_compiled", compiled_library)
-        amplitudes = np.zeros(fiber)
-        amplitudes[0] = 1.0
-        inst = SimpleNamespace(num_qubits=3, terms=(qk.RankOneTerm(support, amplitudes),))
-        with pytest.raises(qk.ArgumentError):
-            qk.InstanceApplier(inst, backend="compiled")
+            qk.InstanceApplier(inst)(np.ones(8), out=out)
 
     @pytest.mark.parametrize("support, fiber", MISFITS)
     def test_numpy_plans_must_fit_the_register(self, support, fiber):
-        # scipy's CSR products do not check their indices either.
+        # Out-of-range and repeated qubits, and a payload shorter than the
+        # fiber: scipy's CSR products do not check their indices.  A
+        # QsatInstance refuses these terms itself, so a stand-in with the two
+        # attributes the applier reads carries them to the plan check.
         amplitudes = np.zeros(fiber)
         amplitudes[0] = 1.0
         inst = SimpleNamespace(num_qubits=3, terms=(qk.RankOneTerm(support, amplitudes),))
         with pytest.raises(qk.ArgumentError):
-            qk.InstanceApplier(inst, backend="pure-python")
+            qk.InstanceApplier(inst)
 
     def test_dimension_mismatch_is_rejected(self):
         inst = qk.QsatInstance(3, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.DimensionMismatchError):
             qk.InstanceApplier(inst)(np.zeros(4, dtype=np.complex128))
 
-    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("state", [np.complex128(1), np.ones((2, 1, 1))],
                              ids=["0-d", "3-d"])
-    def test_states_of_other_ranks_are_rejected(self, backend, state):
+    def test_states_of_other_ranks_are_rejected(self, state):
         inst = qk.QsatInstance(1, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.DimensionMismatchError):
-            qk.InstanceApplier(inst, backend=backend)(state)
+            qk.InstanceApplier(inst)(state)
 
-    def test_unknown_backend_is_rejected(self):
-        inst = qk.QsatInstance(1, [qk.basis_term((0,), "0")])
-        with pytest.raises(qk.ArgumentError):
-            qk.InstanceApplier(inst, backend="fortran")
-
-    def test_backend_name_reports_selection(self, monkeypatch):
-        assert qk.backend_name() == (
-            "compiled" if qk.compiled_available() else "pure-python"
-        )
-        monkeypatch.setattr(kernels, "_compiled", None)
+    def test_backend_name_reports_selection(self):
         assert qk.backend_name() == "pure-python"
-        assert qk.InstanceApplier(qk.QsatInstance(1, [])).backend == "pure-python"
 
 
 class TestConvenience:
@@ -221,20 +181,15 @@ class TestConvenience:
 
 @given(mixed_instances(max_qubits=7))
 @settings(max_examples=60, deadline=None)
-def test_kernels_and_assembly_match_the_oracle(compiled_library, inst):
-    """The C kernel, the numpy kernel and assemble_dense against the
-    Kronecker oracle: rank-1 and general terms, any support order, k = 1..n."""
+def test_kernels_and_assembly_match_the_oracle(inst):
+    """The numpy kernel and assemble_dense against the Kronecker oracle:
+    rank-1 and general terms, any support order, k = 1..n."""
     rng = np.random.Generator(np.random.Philox(key=inst.num_qubits))
     state = rand_state(rng, inst.num_qubits)
     oracle = oracle_matrix(inst)
     assert np.abs(qk.assemble_dense(inst) - oracle).max() <= 1e-12
-    pure = qk.InstanceApplier(inst, backend="pure-python")(state)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_compiled", compiled_library)
-        fast = qk.InstanceApplier(inst, backend="compiled")(state)
-    assert np.abs(fast - pure).max(initial=0.0) <= 1e-13
-    for applied in (pure, fast):
-        assert np.abs(applied - oracle @ state).max(initial=0.0) <= 1e-12
+    applied = qk.InstanceApplier(inst)(state)
+    assert np.abs(applied - oracle @ state).max(initial=0.0) <= 1e-12
 
 
 @given(mixed_instances(max_qubits=6), st.integers(0, 3))
@@ -244,7 +199,7 @@ def test_numpy_kernel_matches_assembly_on_batches(inst, batch):
     states and on (dim, batch) blocks, which go through the factor whole."""
     rng = np.random.Generator(np.random.Philox(key=batch))
     states = rand_state(rng, inst.num_qubits, cols=batch or None)
-    applied = qk.InstanceApplier(inst, backend="pure-python")(states)
+    applied = qk.InstanceApplier(inst)(states)
     expected = qk.assemble_dense(inst) @ states
     assert applied.shape == states.shape
     assert np.abs(applied - expected).max(initial=0.0) <= 1e-12

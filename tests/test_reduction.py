@@ -385,6 +385,12 @@ class TestBuildReduction:
         assert qk.degree_profile(t).per_qubit[2] == 3
         assert qk.locality(t) == 3
 
+    def test_huge_register_is_refused_before_building(self, monkeypatch, figure_b,
+                                                      figure_b_core):
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        with pytest.raises(qk.CapacityError, match="role list"):
+            qk.build_reduction(qk.QsatInstance(10**15, figure_b.terms), 3, figure_b_core)
+
     def test_accounting_summaries(self, figure_b_core):
         q = qk.QsatInstance(2, [qk.singlet_term(0, 1)])
         out = qk.build_reduction(q, 3, figure_b_core)

@@ -21,7 +21,7 @@ from conftest import (
     oracle_matrix,
     random_instance,
 )
-from qsatkit import kernels, spectral
+from qsatkit import spectral
 from qsatkit.spectral import _actions, _local_nullspace_basis, _null_directions, sat_tolerance
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
@@ -260,18 +260,13 @@ class TestGroundEnergy:
         # The estimate counts the (KRYLOV_NCV + 1) x 2^n basis and more.
         n = figure_b.num_qubits
         basis = (min(1 << n, qk.config.KRYLOV_NCV) + 1) * 16 << n
-        monkeypatch.setattr(spectral, "_physical_memory", lambda: basis)
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: basis)
         with pytest.raises(qk.CapacityError, match="Lanczos"):
             qk.ground_energy(figure_b, method="krylov")
-        monkeypatch.setattr(spectral, "_physical_memory", lambda: 4 * basis)
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 4 * basis)
         assert qk.ground_energy(figure_b, method="krylov").method == "krylov"
 
-    @pytest.mark.parametrize("backend", ["pure-python", "compiled"], indirect=True)
-    def test_krylov_estimate_covers_the_traced_peak(self, backend, monkeypatch, figure_b):
-        # The estimate follows the default backend, so the numpy case must
-        # not find an installed C kernel.
-        if backend == "pure-python":
-            monkeypatch.setattr(kernels, "_compiled", None)
+    def test_krylov_estimate_covers_the_traced_peak(self, figure_b):
         inst = random_instance(np.random.Generator(np.random.Philox(key=12)), 12, 24, k=3)
         ncv = qk.config.KRYLOV_NCV
         estimate = spectral._krylov_bytes(inst, ncv, ncv // 2)
