@@ -129,6 +129,18 @@ def mixed_instances(draw, max_qubits=5):
     return qk.QsatInstance(n, terms)
 
 
+# Kernel tests run once per matvec kernel, with the name backend_name()
+# reports in their ids; the sparse factor Q = B^H B is the one kernel.
+KERNELS = [qk.backend_name()]
+
+
+@pytest.fixture
+def kernel(request):
+    """Indirect parameter naming a matvec kernel; the applier class that runs it."""
+    assert request.param == qk.backend_name()
+    return qk.InstanceApplier
+
+
 @pytest.fixture(scope="session")
 def figure_a() -> qk.QsatInstance:
     return qk.builtin_instance("figure-a")

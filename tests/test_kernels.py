@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import qsatkit as qk
 from qsatkit.kernels import fiber_layout
 
-from conftest import embed_matrix, mixed_instances, oracle_matrix, random_instance
+from conftest import KERNELS, embed_matrix, mixed_instances, oracle_matrix, random_instance
 
 # Supports and fiber sizes of rank-1 terms that do not fit 3 qubits.
 MISFITS = [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)]
@@ -44,28 +44,31 @@ class TestFiberLayout:
 
 
 class TestApplier:
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_independent_embedding(self, seed):
+    def test_matches_independent_embedding(self, kernel, seed):
         rng = np.random.Generator(np.random.Philox(key=seed))
         n = int(rng.integers(2, 6))
         inst = random_instance(rng, n, num_terms=int(rng.integers(1, 5)),
                                k=int(rng.integers(1, min(n, 3) + 1)))
         state = rand_state(rng, n)
-        applier = qk.InstanceApplier(inst)
+        applier = kernel(inst)
         expected = oracle_matrix(inst) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
-    def test_general_terms_are_supported(self):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_general_terms_are_supported(self, kernel):
         rng = np.random.Generator(np.random.Philox(key=77))
         mat = np.zeros((4, 4), dtype=np.complex128)
         mat[0, 0] = mat[3, 3] = 1.0
         inst = qk.QsatInstance(3, [qk.GeneralTerm((2, 0), mat)])
         state = rand_state(rng, 3)
-        applier = qk.InstanceApplier(inst)
+        applier = kernel(inst)
         expected = embed_matrix(3, (2, 0), mat) @ state
         assert np.allclose(applier(state), expected, atol=1e-12)
 
-    def test_general_terms_in_fortran_order(self):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_general_terms_in_fortran_order(self, kernel):
         # A conjugate transpose is a column-major view, and the term keeps
         # that order; reading it as row-major would apply conj(P), not P.
         rng = np.random.Generator(np.random.Philox(key=78))
@@ -77,14 +80,15 @@ class TestApplier:
         inst = qk.QsatInstance(3, [term])
         state = rand_state(rng, 3)
         expected = embed_matrix(3, (2, 0), proj.conj().T) @ state
-        applied = qk.InstanceApplier(inst)(state)
+        applied = kernel(inst)(state)
         assert np.abs(applied - expected).max() <= 1e-12
 
-    def test_batched_states_apply_columnwise(self):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_batched_states_apply_columnwise(self, kernel):
         rng = np.random.Generator(np.random.Philox(key=9))
         inst = random_instance(rng, 4, num_terms=3)
         block = rand_state(rng, 4, cols=5)
-        applier = qk.InstanceApplier(inst)
+        applier = kernel(inst)
         batched = applier(block)
         for j in range(5):
             assert np.allclose(batched[:, j], applier(block[:, j]), atol=1e-12)
@@ -97,26 +101,29 @@ class TestApplier:
         result = qk.InstanceApplier(inst)(state, out=out)
         assert result is out
 
-    def test_out_sharing_memory_with_state_is_rejected(self):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_out_sharing_memory_with_state_is_rejected(self, kernel):
         # Q @ x is not an in-place update: out=x is refused and x is kept.
         inst = qk.QsatInstance(2, [qk.basis_term((0,), "0")])
         x = np.array([1, 0, 0, 0], dtype=np.complex128)
-        applier = qk.InstanceApplier(inst)
+        applier = kernel(inst)
         assert applier(x).tolist() == [1, 0, 0, 0]
         with pytest.raises(qk.ArgumentError):
             applier(x, out=x)
         assert x.tolist() == [1, 0, 0, 0]
 
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("shape", [(4,), (8, 1), (16,)])
-    def test_out_of_the_wrong_shape_is_rejected(self, shape):
+    def test_out_of_the_wrong_shape_is_rejected(self, kernel, shape):
         inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
         out = np.full(shape, 7.0 + 0j)
         with pytest.raises(qk.DimensionMismatchError):
-            qk.InstanceApplier(inst)(np.ones(8), out=out)
+            kernel(inst)(np.ones(8), out=out)
         assert (out == 7.0).all()
 
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("layout", ["float64", "strided", "read-only", "list"])
-    def test_out_of_the_wrong_layout_is_rejected(self, layout):
+    def test_out_of_the_wrong_layout_is_rejected(self, kernel, layout):
         inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
         out = {
             "float64": np.zeros(8),
@@ -127,7 +134,7 @@ class TestApplier:
         if layout == "read-only":
             out.setflags(write=False)
         with pytest.raises(qk.ArgumentError):
-            qk.InstanceApplier(inst)(np.ones(8), out=out)
+            kernel(inst)(np.ones(8), out=out)
 
     @pytest.mark.parametrize("support, fiber", MISFITS)
     def test_numpy_plans_must_fit_the_register(self, support, fiber):
@@ -146,12 +153,13 @@ class TestApplier:
         with pytest.raises(qk.DimensionMismatchError):
             qk.InstanceApplier(inst)(np.zeros(4, dtype=np.complex128))
 
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     @pytest.mark.parametrize("state", [np.complex128(1), np.ones((2, 1, 1))],
                              ids=["0-d", "3-d"])
-    def test_states_of_other_ranks_are_rejected(self, state):
+    def test_states_of_other_ranks_are_rejected(self, kernel, state):
         inst = qk.QsatInstance(1, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.DimensionMismatchError):
-            qk.InstanceApplier(inst)(state)
+            kernel(inst)(state)
 
     def test_backend_name_reports_selection(self):
         assert qk.backend_name() == "pure-python"

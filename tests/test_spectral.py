@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qsatkit as qk
 
 from conftest import (
+    KERNELS,
     embed_matrix,
     mixed_instances,
     near_identity_pair,
@@ -266,7 +267,8 @@ class TestGroundEnergy:
         monkeypatch.setattr(qk.config, "physical_memory", lambda: 4 * basis)
         assert qk.ground_energy(figure_b, method="krylov").method == "krylov"
 
-    def test_krylov_estimate_covers_the_traced_peak(self, figure_b):
+    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
+    def test_krylov_estimate_covers_the_traced_peak(self, kernel, figure_b):
         inst = random_instance(np.random.Generator(np.random.Philox(key=12)), 12, 24, k=3)
         ncv = qk.config.KRYLOV_NCV
         estimate = spectral._krylov_bytes(inst, ncv, ncv // 2)
