@@ -12,6 +12,7 @@ not converge).
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
 import sys
@@ -64,8 +65,11 @@ def _structure_hash(instance) -> str:
 
 
 def _emit(args, payload: dict, text_lines) -> None:
+    """Print the payload as JSON under ``--json``, else the text lines,
+    piece by piece: neither is ever held whole as text."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        json.dump(payload, sys.stdout, indent=2)
+        print()
     else:
         for line in text_lines:
             print(line)
@@ -101,26 +105,25 @@ def cmd_analyze(args) -> int:
         "num_qubits": instance.num_qubits,
         "num_terms": instance.num_terms,
         "locality": locality(instance),
-        "degrees": list(profile.per_qubit),
+        "degrees": profile.per_qubit,
         "max_degree": profile.max_degree,
         "regular": profile.is_regular,
         "structure_hash": _structure_hash(instance),
     }
-    lines = [
-        f"num_qubits: {payload['num_qubits']}",
-        f"num_terms: {payload['num_terms']}",
-        f"locality: {payload['locality']}",
-        "degrees:",
-    ]
-    lines.extend(
-        f"  qubit {i}: {d}" for i, d in enumerate(profile.per_qubit)
-    )
-    lines.extend(
+    # Streamed, so the checked degree profile is its only per-qubit list.
+    lines = itertools.chain(
+        [
+            f"num_qubits: {payload['num_qubits']}",
+            f"num_terms: {payload['num_terms']}",
+            f"locality: {payload['locality']}",
+            "degrees:",
+        ],
+        (f"  qubit {i}: {d}" for i, d in enumerate(profile.per_qubit)),
         [
             f"max_degree: {profile.max_degree}",
             f"regular: {'yes' if profile.is_regular else 'no'}",
             f"structure_hash: {payload['structure_hash']}",
-        ]
+        ],
     )
     _emit(args, payload, lines)
     return EXIT_SATISFIABLE

@@ -32,9 +32,16 @@ DENSE_MAX_QUBITS = 13
 # at n = 12 and 2.6-16 ms at n = 13; frustrated and Haar ones 0.6-11 ms.
 # The cutoff also marks where the byte limit of decide_sat's null-space
 # witness starts: up to it the basis is unlimited, as the cross-check always
-# was; above it, no array of the basis may exceed the KRYLOV_NCV x 2^n
-# complex amplitudes of the Lanczos basis the Krylov route would allocate.
+# was; above it, no array of the basis may exceed WITNESS_MAX_VECTORS x 2^n
+# complex amplitudes.
 NULLSPACE_CROSSCHECK_CUTOFF = 10
+
+# Register-sized vectors that one array of the null-space witness may hold
+# above NULLSPACE_CROSSCHECK_CUTOFF: 32 MiB at n = 15 and 1 GiB at n = 20.
+# A basis that would outgrow it gives no witness, and the spectral route
+# decides instead.  The largest array of the planted n = 15 witness of the
+# qsatbench large_krylov workload is 1 MiB.
+WITNESS_MAX_VECTORS = 64
 
 NORM_TOL = 1e-10          # | ||amplitudes|| - 1 |
 HERMITICITY_TOL = 1e-12   # entrywise, projector matrices
@@ -51,16 +58,12 @@ GADGET_PENALTY_TOL = 1e-9  # slack on the dummy-at-|1> penalty floor
 REDUCTION_ENERGY_TOL = 1e-8  # |E' - E| (or the E' >= c_k slack) in verification
 Z_COMMUTATION_TOL = 1e-12  # residual amplitude mass off the dominant dummy slice
 
-# Matrix-free minimum-eigenvalue iteration (thick-restart Lanczos on Q).
-# It stops when the lowest Ritz pair's residual is at most KRYLOV_TOL * m:
-# an absolute bound, the same as a relative tolerance of KRYLOV_TOL on the
-# reflected operator m*I - Q, whose top eigenvalue is near m.
+# Matrix-free minimum-eigenvalue iteration (plain Lanczos on Q, with an
+# iteration cap of 10 x 2^n steps).  It stops when the lowest Ritz pair's
+# residual is at most KRYLOV_TOL * m: an absolute bound, the same as a
+# relative tolerance of KRYLOV_TOL on the reflected operator m*I - Q, whose
+# top eigenvalue is near m.
 KRYLOV_TOL = 1e-10
-# Lanczos basis size (clipped to the space dimension); a full basis restarts
-# on its lowest KRYLOV_NCV // 2 Ritz vectors.  On five near-frustration-free
-# n = 10, m = 10, k = 3 instances, keeping 16 to 40 of 64 took 1,057-1,169
-# matvecs per solve, 8 took 1,185-1,297 and 56 took 1,217-1,297.
-KRYLOV_NCV = 64
 KRYLOV_SEED = 0x6A09E667  # fixed start-vector seed: deterministic iterations
 
 

@@ -53,7 +53,8 @@ class InstanceApplier:
     The sparse factor B is built once at construction, so repeated
     applications (Krylov iterations) pay only the arithmetic.  A state of
     shape ``(dim,)`` or a batch of shape ``(dim, batch)`` goes through B
-    whole; any other shape raises DimensionMismatchError.
+    whole; any other shape raises DimensionMismatchError.  Each call
+    allocates B x and the result, which it returns, and nothing else.
 
     B holds a general term M through its image: its r eigenvectors of
     eigenvalue above 1/2, each scaled by the square root of its eigenvalue.
@@ -78,35 +79,18 @@ class InstanceApplier:
             plans.append((bases, offsets, action))
         self._factor, self._adjoint = _sparse_factor(self.dim, plans)
 
-    def __call__(self, state, out=None):
+    def __call__(self, state):
         state = np.asarray(state)
         if state.ndim not in (1, 2) or state.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"state has shape {state.shape}, expected ({self.dim},) "
                 f"or ({self.dim}, batch)"
             )
-        if out is None:
-            out = np.empty(state.shape, dtype=np.complex128)
-        else:
-            # Checked before anything is computed, so a refused buffer is
-            # left as it was.
-            if (not isinstance(out, np.ndarray) or out.dtype != np.complex128
-                    or not out.flags.c_contiguous or not out.flags.writeable):
-                raise ArgumentError("out must be a writeable, C-contiguous complex128 array")
-            if out.shape != state.shape:
-                raise DimensionMismatchError(
-                    f"out has shape {out.shape}, expected {state.shape}"
-                )
-            # Q @ state is not an in-place update: out=state is refused
-            # rather than left to the order in which the products read and
-            # write.
-            if np.shares_memory(out, state):
-                raise ArgumentError("out must not share memory with state")
         image = self._factor @ np.ascontiguousarray(state, dtype=np.complex128)
         np.conjugate(image, out=image)
         # B^H y = conj(B^T conj(y)), with B^T the CSC view of B's arrays.
-        np.conjugate(self._adjoint @ image, out=out)
-        return out
+        result = self._adjoint @ image
+        return np.conjugate(result, out=result)
 
 
 def _term_rows(term):

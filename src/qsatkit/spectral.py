@@ -4,8 +4,9 @@ Two independent solver routes back every claim in the library:
 
 * a dense route — the full 2^n x 2^n operator is materialized by index
   arithmetic and passed to a Hermitian eigensolver (lowest eigenpair only);
-* a matrix-free Krylov route — a thick-restart Lanczos iteration on Q
-  itself, whose lowest Ritz pair is the ground state.
+* a matrix-free Krylov route — the plain Lanczos recurrence on Q itself,
+  which keeps three vectors and no basis, and whose lowest Ritz pair is
+  the ground state.
 
 A third mechanism, singular-value-based null-space intersection, needs no
 eigensolve.  It keeps its basis on the qubits the terms seen so far touch,
@@ -151,49 +152,64 @@ def _dense_ground_pair(qmat):
     return float(vals[0]), vec, residual
 
 
-# Columns of the basis that one step of a thick restart combines at once.
-_RESTART_BLOCK = 4096
+# Lanczos steps between two checks of the lowest Ritz pair.  A check solves
+# the tridiagonal for that one pair: 30 us at 20 steps and 620 us at 1,000,
+# against 82 us for a whole step at n = 10 (one OpenBLAS thread).  On the
+# near-frustration-free n = 10 solves of qsatbench's large_krylov, about
+# 1,000 steps a pass, the 50 checks took 11% of the solve; a check every
+# step would cost more than the steps, and a rarer one runs further past
+# convergence, twice over with the second pass.
+_RITZ_CHECK = 20
 
 
-def _krylov_bytes(instance, ncv, keep):
+def _krylov_bytes(instance):
     """Bytes the Lanczos iteration of ``_krylov_ground_pair`` holds at once:
-    its (ncv + 1) x 2^n basis, the real ncv x ncv projected matrix and its
-    eigenvectors, the restart's working block, four vectors of working space
-    (the Ritz vector and its residual check, Gram-Schmidt's temporaries),
+    six vectors of the register (the three of the recurrence and a
+    temporary; in the second pass also the Ritz vector and its summand),
     and the applier's sparse factor with a matvec's temporaries
-    (``kernels._applier_bytes``).  The sum is an upper bound: the working
-    vectors and the matvec's temporaries are free while the restart holds
-    its block and coefficients."""
-    dim = 1 << instance.num_qubits
-    rows = (ncv + 1) * dim + ncv * ncv + keep * min(dim, _RESTART_BLOCK) + 4 * dim
-    return 16 * rows + kernels._applier_bytes(instance)
+    (``kernels._applier_bytes``).  The tridiagonal's entries, two floats a
+    step, are not counted."""
+    return (16 * 6 << instance.num_qubits) + kernels._applier_bytes(instance)
+
+
+def _lanczos(applier, dim):
+    """The Lanczos recurrence on Q from ``_start_vector``: yields each
+    vector v_j with the tridiagonal's diagonal entry alpha_j and the
+    coupling beta_j to v_{j+1}.  Every call runs the same floating-point
+    operations, so a second call yields the same vectors bit for bit.  A
+    caller stops at a zero beta, which the next step would divide by."""
+    prev, vec, beta = 0.0, _start_vector(dim), 0.0
+    while True:
+        w = applier(vec)
+        alpha = np.vdot(vec, w).real
+        w -= alpha * vec
+        w -= beta * prev
+        beta = np.linalg.norm(w)
+        yield vec, float(alpha), float(beta)
+        w /= beta
+        prev, vec = vec, w
 
 
 def _krylov_ground_pair(instance):
     """The lowest eigenpair of an instance's operator Q, and its residual, by
-    a thick-restart Lanczos iteration on Q (Wu and Simon, SIAM J. Matrix
-    Anal. Appl. 22, 2000).
+    the plain Lanczos recurrence on Q.
 
-    The basis holds up to ncv = min(KRYLOV_NCV, 2^n) orthonormal rows and
-    the next Lanczos vector; each matvec is orthogonalized against all of
-    them by two passes of classical Gram-Schmidt.  The projected matrix is
-    real and symmetric: tridiagonal, with the kept Ritz values on its
-    diagonal and their couplings in one row and column after a restart.  A
-    full basis restarts on its lowest ncv // 2 Ritz vectors, combined in
-    place in blocks of columns, so no second block of rows is allocated.
-    The iteration stops when the lowest Ritz pair's residual beta |y_last|
-    is at most KRYLOV_TOL * m.  A beta within that bound marks an invariant
-    subspace and also ends it; a register of at most KRYLOV_NCV dimensions
-    always reaches one, so it needs no special case.  After 10 * 2^n
-    restarts it raises ConvergenceError with the lowest Ritz pair.  Before
-    anything is allocated, an iteration that would need more bytes than the
-    machine's physical memory raises CapacityError.
+    No basis is kept and the vectors are not reorthogonalized: lost
+    orthogonality adds copies of converged Ritz values but leaves the lowest
+    one correct (Paige, J. Inst. Math. Appl. 18, 1976; Cullum and
+    Willoughby, 1985).  Every ``_RITZ_CHECK`` steps the lowest pair
+    (theta, y) of the tridiagonal is computed, and the iteration stops when
+    its residual beta |y_last| is at most KRYLOV_TOL * m.  A beta within
+    that bound marks an invariant subspace; it is checked at once and meets
+    the same test.  A second pass replays the recurrence and sums the Ritz
+    vector from y.  After 10 * 2^n steps it raises ConvergenceError with
+    the lowest Ritz pair.  Before anything is allocated, an iteration that
+    would need more bytes than the machine's physical memory raises
+    CapacityError.
     """
     n = instance.num_qubits
     dim = 1 << n
-    ncv = min(dim, config.KRYLOV_NCV)
-    keep = ncv // 2
-    need, have = _krylov_bytes(instance, ncv, keep), config.physical_memory()
+    need, have = _krylov_bytes(instance), config.physical_memory()
     if have is not None and need > have:
         raise CapacityError(
             f"the Lanczos iteration on {n} qubits would take {need} bytes; "
@@ -201,51 +217,32 @@ def _krylov_ground_pair(instance):
         )
     applier = kernels.InstanceApplier(instance)
     tol = config.KRYLOV_TOL * instance.num_terms
-    basis = np.empty((ncv + 1, dim), dtype=np.complex128)
-    basis[0] = _start_vector(dim)
-    proj = np.zeros((ncv, ncv))
-    start = restarts = 0
-    while True:
-        size = ncv
-        for j in range(start, ncv):
-            w = applier(basis[j], out=basis[j + 1])
-            done = basis[:j + 1]
-            coef = (done @ w.conj()).conj()
-            w -= coef @ done
-            again = (done @ w.conj()).conj()
-            w -= again @ done
-            proj[j, j] = coef[j].real + again[j].real
-            beta = np.linalg.norm(w)
-            if beta <= tol:
-                size = j + 1
-                break
-            w /= beta
-            if j + 1 < ncv:
-                proj[j, j + 1] = proj[j + 1, j] = beta
-        theta, ritz = np.linalg.eigh(proj[:size, :size])
+    alphas, betas = [], []
+    for _, alpha, beta in _lanczos(applier, dim):
+        alphas.append(alpha)
+        betas.append(beta)
+        steps = len(alphas)
+        if steps % _RITZ_CHECK and beta > tol and steps < 10 * dim:
+            continue
+        theta, ritz = scipy.linalg.eigh_tridiagonal(
+            alphas, betas[:-1], select="i", select_range=(0, 0)
+        )
         converged = beta * abs(ritz[-1, 0]) <= tol
-        if converged or restarts == 10 * dim:
-            vec = ritz[:, 0] @ basis[:size]
-            vec /= np.linalg.norm(vec)
-            lam = float(theta[0])
-            if not converged:
-                raise ConvergenceError(
-                    f"Lanczos iteration did not converge in {restarts} restarts",
-                    best_lambda0=lam,
-                    best_vector=vec,
-                )
-            residual = float(np.linalg.norm(applier(vec) - lam * vec))
-            return lam, vec, residual
-        restarts += 1
-        combine = ritz[:, :keep].T.astype(np.complex128)
-        for col in range(0, dim, _RESTART_BLOCK):
-            block = basis[:size, col:col + _RESTART_BLOCK]
-            basis[:keep, col:col + _RESTART_BLOCK] = combine @ block
-        basis[keep] = basis[size]
-        proj[:] = 0
-        proj[range(keep), range(keep)] = theta[:keep]
-        proj[keep, :keep] = proj[:keep, keep] = beta * ritz[-1, :keep]
-        start = keep
+        if converged or steps == 10 * dim:
+            break
+    vec = np.zeros(dim, dtype=np.complex128)
+    for y, (v, _, _) in zip(ritz[:, 0], _lanczos(applier, dim)):
+        vec += y * v
+    vec /= np.linalg.norm(vec)
+    lam = float(theta[0])
+    if not converged:
+        raise ConvergenceError(
+            f"Lanczos iteration did not converge in {steps} steps",
+            best_lambda0=lam,
+            best_vector=vec,
+        )
+    residual = float(np.linalg.norm(applier(vec) - lam * vec))
+    return lam, vec, residual
 
 
 def _route(n, method):
@@ -526,8 +523,8 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     (``method="nullspace"``, the witness energy as ``lambda0``, an upper
     bound on the ground energy) and no eigensolver runs.  Up to
     ``config.NULLSPACE_CROSSCHECK_CUTOFF`` qubits the basis has no size
-    limit; above it, it may take no more bytes than the Lanczos basis of
-    the Krylov route.  Otherwise the spectral verdict is cross-checked
+    limit; above it, no array of it may hold more than
+    ``config.WITNESS_MAX_VECTORS`` register-sized vectors.  Otherwise the spectral verdict is cross-checked
     against the null-space dimension, computed on small instances when the
     witness did not run; any disagreement downgrades it to indeterminate
     rather than guessing.
@@ -555,7 +552,7 @@ def _decide(num_qubits, supports, actions, method="auto", instance=None) -> list
     if witness or n <= config.NULLSPACE_CROSSCHECK_CUTOFF:
         max_bytes = None
         if n > config.NULLSPACE_CROSSCHECK_CUTOFF:
-            max_bytes = config.KRYLOV_NCV * 16 << n
+            max_bytes = config.WITNESS_MAX_VECTORS * 16 << n
         try:
             dim, psi, todo = _witnesses(n, supports, actions, max_bytes)
         except CapacityError:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,12 +220,36 @@ class TestAnalyze:
         path = tmp_path / "huge.json"
         qk.save_instance(path, qk.QsatInstance(10**15, figure_b.terms))
         monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
-        for argv in (["analyze", str(path)],
+        for argv in (["analyze", str(path)], ["analyze", str(path), "--json"],
                      ["reduce", str(path), "--target-k", "3", "--out", str(tmp_path / "out.json")]):
             code, out, err = run_cli(capsys, *argv)
             assert code == cli.EXIT_CAPACITY == 5
             assert out == ""
             assert "on 1000000000000000 qubits would take" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_report_fits_the_bytes_the_check_counts(self, monkeypatch, tmp_path, figure_b, mode):
+        # The check counts 16 bytes a qubit, and the report streams, so a
+        # register that passes the check also fits the report.
+        n = 10**5
+        path = tmp_path / "wide.json"
+        qk.save_instance(path, qk.QsatInstance(n, figure_b.terms))
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 16 * n)
+        report = tmp_path / "report"
+        with open(report, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(["analyze", str(path), *mode])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 16 * n + (1 << 20)
+        text = report.read_text()
+        if mode:
+            assert len(json.loads(text)["degrees"]) == n
+        else:
+            assert text.count("\n  qubit ") == n
 
 
 class TestReduce:

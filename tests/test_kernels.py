@@ -93,49 +93,6 @@ class TestApplier:
         for j in range(5):
             assert np.allclose(batched[:, j], applier(block[:, j]), atol=1e-12)
 
-    def test_out_buffer_is_reused(self):
-        rng = np.random.Generator(np.random.Philox(key=11))
-        inst = random_instance(rng, 3, num_terms=2)
-        state = rand_state(rng, 3)
-        out = np.empty(8, dtype=np.complex128)
-        result = qk.InstanceApplier(inst)(state, out=out)
-        assert result is out
-
-    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
-    def test_out_sharing_memory_with_state_is_rejected(self, kernel):
-        # Q @ x is not an in-place update: out=x is refused and x is kept.
-        inst = qk.QsatInstance(2, [qk.basis_term((0,), "0")])
-        x = np.array([1, 0, 0, 0], dtype=np.complex128)
-        applier = kernel(inst)
-        assert applier(x).tolist() == [1, 0, 0, 0]
-        with pytest.raises(qk.ArgumentError):
-            applier(x, out=x)
-        assert x.tolist() == [1, 0, 0, 0]
-
-    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
-    @pytest.mark.parametrize("shape", [(4,), (8, 1), (16,)])
-    def test_out_of_the_wrong_shape_is_rejected(self, kernel, shape):
-        inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
-        out = np.full(shape, 7.0 + 0j)
-        with pytest.raises(qk.DimensionMismatchError):
-            kernel(inst)(np.ones(8), out=out)
-        assert (out == 7.0).all()
-
-    @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
-    @pytest.mark.parametrize("layout", ["float64", "strided", "read-only", "list"])
-    def test_out_of_the_wrong_layout_is_rejected(self, kernel, layout):
-        inst = qk.QsatInstance(3, [qk.basis_term((0, 2), "01")])
-        out = {
-            "float64": np.zeros(8),
-            "strided": np.zeros(16, dtype=np.complex128)[::2],
-            "read-only": np.zeros(8, dtype=np.complex128),
-            "list": [0j] * 8,
-        }[layout]
-        if layout == "read-only":
-            out.setflags(write=False)
-        with pytest.raises(qk.ArgumentError):
-            kernel(inst)(np.ones(8), out=out)
-
     @pytest.mark.parametrize("support, fiber", MISFITS)
     def test_numpy_plans_must_fit_the_register(self, support, fiber):
         # Out-of-range and repeated qubits, and a payload shorter than the

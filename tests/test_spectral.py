@@ -22,7 +22,7 @@ from conftest import (
     oracle_matrix,
     random_instance,
 )
-from qsatkit import spectral
+from qsatkit import kernels, spectral
 from qsatkit.spectral import _actions, _local_nullspace_basis, _null_directions, sat_tolerance
 
 # Ground-state doublet of the frustrated triangle instance, frozen from an
@@ -52,6 +52,21 @@ def _planted_instance(num_qubits, num_terms, k, seed):
         v -= np.vdot(local, v) * local
         terms.append(qk.RankOneTerm(support, v / np.linalg.norm(v)))
     return qk.QsatInstance(num_qubits, terms)
+
+
+def _traced_krylov_solve(warmup):
+    """A forced-Krylov solve of an n = 12, k = 3, m = 24 instance, its
+    result and its peak traced bytes; a solve of ``warmup`` first imports
+    scipy.sparse outside the trace."""
+    inst = random_instance(np.random.Generator(np.random.Philox(key=12)), 12, 24, k=3)
+    qk.ground_energy(warmup, method="krylov")
+    tracemalloc.start()
+    try:
+        result = qk.ground_energy(inst, method="krylov")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return inst, result, peak
 
 
 def _register_basis(inst):
@@ -215,15 +230,16 @@ class TestGroundEnergy:
     @given(mixed_instances(max_qubits=3))
     @settings(max_examples=40, deadline=None)
     def test_forced_krylov_matches_dense_on_small_registers(self, inst):
-        # A space of at most KRYLOV_NCV dimensions ends in an invariant
-        # subspace, down to one qubit, with no dense detour.
+        # A space of at most 8 dimensions ends in an invariant subspace
+        # within 8 steps, down to one qubit, with no dense detour.
         dense = qk.ground_energy(inst, method="dense")
         krylov = qk.ground_energy(inst, method="krylov")
         assert krylov.method == "krylov"
         assert abs(krylov.lambda0 - dense.lambda0) <= 1e-12
 
     def test_forced_krylov_restarts_on_general_terms(self):
-        # 2^7 > KRYLOV_NCV: the basis fills and restarts.
+        # 2^7 dimensions and general terms: the recurrence runs past its
+        # first Ritz checks with no reorthogonalization.
         rng = np.random.Generator(np.random.Philox(key=7))
         terms = []
         for support in ((0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 0), (1, 4)):
@@ -247,20 +263,20 @@ class TestGroundEnergy:
         assert result.residual <= qk.config.RESIDUAL_TOL
 
     def test_krylov_restart_cap_raises_with_the_best_iterate(self, monkeypatch):
-        # No pair meets a zero tolerance, so the 10 * 2^n restarts run out.
-        monkeypatch.setattr(qk.config, "KRYLOV_NCV", 4)
+        # No pair meets a zero tolerance, so the 10 * 2^n steps run out.
         monkeypatch.setattr(qk.config, "KRYLOV_TOL", 0.0)
         inst = random_instance(np.random.Generator(np.random.Philox(key=5)), 4, 5)
-        with pytest.raises(qk.ConvergenceError, match="160 restarts") as exc:
+        with pytest.raises(qk.ConvergenceError, match="160 steps") as exc:
             spectral._krylov_ground_pair(inst)
         assert abs(exc.value.best_lambda0 - oracle_lambda0(inst)) <= 1e-9
         assert exc.value.best_vector.shape == (16,)
         assert np.linalg.norm(exc.value.best_vector) == pytest.approx(1.0)
 
     def test_krylov_refuses_more_than_physical_memory(self, monkeypatch, figure_b):
-        # The estimate counts the (KRYLOV_NCV + 1) x 2^n basis and more.
+        # The estimate counts six vectors and the applier's sparse factor:
+        # more than nine vectors of 2^n amplitudes at n = 3, less than 36.
         n = figure_b.num_qubits
-        basis = (min(1 << n, qk.config.KRYLOV_NCV) + 1) * 16 << n
+        basis = 9 * 16 << n
         monkeypatch.setattr(qk.config, "physical_memory", lambda: basis)
         with pytest.raises(qk.CapacityError, match="Lanczos"):
             qk.ground_energy(figure_b, method="krylov")
@@ -269,19 +285,16 @@ class TestGroundEnergy:
 
     @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
     def test_krylov_estimate_covers_the_traced_peak(self, kernel, figure_b):
-        inst = random_instance(np.random.Generator(np.random.Philox(key=12)), 12, 24, k=3)
-        ncv = qk.config.KRYLOV_NCV
-        estimate = spectral._krylov_bytes(inst, ncv, ncv // 2)
-        # A first solve imports scipy.sparse outside the trace.
-        qk.ground_energy(figure_b, method="krylov")
-        tracemalloc.start()
-        try:
-            result = qk.ground_energy(inst, method="krylov")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        inst, result, peak = _traced_krylov_solve(figure_b)
         assert result.method == "krylov"
-        assert estimate >= peak
+        assert spectral._krylov_bytes(inst) >= peak
+
+    def test_krylov_holds_a_few_vectors_besides_the_applier(self, figure_b):
+        # The recurrence keeps no basis: at n = 12 the solve peaks within
+        # eight vectors of 2^n amplitudes over the applier's bytes.
+        inst, result, peak = _traced_krylov_solve(figure_b)
+        assert result.residual <= qk.config.RESIDUAL_TOL
+        assert peak <= kernels._applier_bytes(inst) + 8 * 16 * (1 << inst.num_qubits)
 
     def test_unknown_method_is_rejected(self, figure_a):
         with pytest.raises(qk.ArgumentError):
@@ -423,13 +436,13 @@ class TestDecideSat:
     def test_byte_refusal_falls_back_to_krylov(self):
         # A 10-local term after a 2-local one widens the basis by the identity
         # on 9 new qubits: 2048 x 1536 amplitudes, 48 MiB against the 2 MiB
-        # Lanczos basis of the Krylov route at n = 11.
+        # of WITNESS_MAX_VECTORS vectors at n = 11.
         rng = np.random.Generator(np.random.Philox(key=11))
         inst = qk.QsatInstance(11, [
             qk.haar_random_term((0, 1), rng),
             qk.haar_random_term(tuple(range(1, 11)), rng),
         ])
-        limit = qk.config.KRYLOV_NCV * 16 << inst.num_qubits
+        limit = qk.config.WITNESS_MAX_VECTORS * 16 << inst.num_qubits
         tracemalloc.start()
         try:
             with pytest.raises(qk.CapacityError):
@@ -467,7 +480,7 @@ class TestDecideSat:
         assert qk.decide_sat(_singlet_chain(cutoff)).method == "nullspace"
         above = qk.decide_sat(_singlet_chain(cutoff + 1))
         assert (above.tag, above.method, above.nullspace_dim) == (qk.SATISFIABLE, "krylov", None)
-        assert limits == [None, qk.config.KRYLOV_NCV * 16 << (cutoff + 1)]
+        assert limits == [None, qk.config.WITNESS_MAX_VECTORS * 16 << (cutoff + 1)]
 
     def test_failed_witness_check_falls_back(self, monkeypatch, figure_a):
         # A witness whose energy is too high never becomes a verdict.
