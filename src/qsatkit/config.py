@@ -8,13 +8,16 @@ DEFAULT_MAX_QUBITS = 20
 
 # Largest instance that method="auto" (ground_energy, decide_sat)
 # solves by dense eigendecomposition; beyond it the matrix-free Krylov path
-# takes over.  Measured crossover (qsatbench small_dense and large_krylov
-# instances, one OpenBLAS thread, 2-core x86 host): at n = 9 dense wins,
-# 0.07-0.09 s against 0.14-0.16 s for Krylov; at n = 10 Krylov wins on a
-# planted m = 15 instance, 0.09-0.20 s against 0.42-0.61 s, and ties (about
-# 0.58 s) near frustration-freeness; at n = 11 Krylov wins 10-50x,
-# 0.08-0.39 s against 3.6-4.9 s.
-DENSE_CUTOFF = 9
+# takes over.  Measured crossover: forced dense against forced Krylov
+# ground_energy, median of 5 calls, on unsatisfiable qsatbench-style
+# instances (Haar k = 2 and k = 3, and frustrated; m = n to 2n; 4 seeds
+# each), one OpenBLAS thread, 2-core x86 host.  At n = 9 (11 instances)
+# Krylov took 0.10-0.58x the dense time, median 0.23x, 5.3-28 ms against
+# 44-68 ms.  At n = 8 (10 instances) the routes tie: 0.47-1.96x, median
+# 0.81x, 79 ms against 85 ms in all.  From n = 8 to 9 the median dense
+# solve grew 6x and the median Krylov one 1.4x, so Krylov wins by more
+# from n = 10 on.
+DENSE_CUTOFF = 8
 
 # Largest register any dense routine accepts: forced method="dense",
 # assemble_dense, the null-space intersection and verify_reduction.

@@ -34,6 +34,7 @@ lowest eigenpair, including the dominance and pinned-sector checks of the
 gadget reduction, comes from ``_dense_ground_pair``.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,10 @@ from .instance import GeneralTerm, QsatInstance, RankOneTerm
 
 _HEEVR, _HEEVR_LWORK = scipy.linalg.get_lapack_funcs(
     ("heevr", "heevr_lwork"), dtype=np.complex128
+)
+_ZDOTC, _ZAXPY, _DZNRM2, _ZDSCAL = (
+    scipy.linalg.blas.zdotc, scipy.linalg.blas.zaxpy,
+    scipy.linalg.blas.dznrm2, scipy.linalg.blas.zdscal,
 )
 
 SATISFIABLE = "satisfiable"
@@ -153,40 +158,57 @@ def _dense_ground_pair(qmat):
 
 
 # Lanczos steps between two checks of the lowest Ritz pair.  A check solves
-# the tridiagonal for that one pair: 30 us at 20 steps and 620 us at 1,000,
-# against 82 us for a whole step at n = 10 (one OpenBLAS thread).  On the
-# near-frustration-free n = 10 solves of qsatbench's large_krylov, about
-# 1,000 steps a pass, the 50 checks took 11% of the solve; a check every
-# step would cost more than the steps, and a rarer one runs further past
+# the tridiagonal for that one pair: 30 us at 20 steps and 570-670 us at
+# 1,000, against 49 us for a whole step at n = 10, of which 45-47 us is the
+# matvec (one OpenBLAS thread).  The near-frustration-free n = 10 solves of
+# qsatbench's large_krylov take 960-1,000 steps a pass and 48-50 checks.
+# An interval of max(20, steps // 8) made 24 checks but ran 1,038 steps a
+# pass: in three interleaved runs of 20-30 solves per frame it took
+# 0.91-0.94x the time on four frames, but 0.91-1.10x on the one that
+# converges at 960 steps, so the interval stays fixed.  A check every step
+# would cost more than the steps, and a rarer one runs further past
 # convergence, twice over with the second pass.
 _RITZ_CHECK = 20
 
 
 def _krylov_bytes(instance):
     """Bytes the Lanczos iteration of ``_krylov_ground_pair`` holds at once:
-    six vectors of the register (the three of the recurrence and a
-    temporary; in the second pass also the Ritz vector and its summand),
-    and the applier's sparse factor with a matvec's temporaries
-    (``kernels._applier_bytes``).  The tridiagonal's entries, two floats a
-    step, are not counted."""
+    six vectors of the register, and the applier's sparse factor with a
+    matvec's temporaries (``kernels._applier_bytes``).  Those include the
+    matvec's result, which the step turns into the next vector in place.
+    Besides it the recurrence holds the current and the previous vector,
+    the second pass also the Ritz vector, summed in place, and drawing the
+    start vector takes two and a half vectors for a moment: at most three
+    and a half vectors, within the six.  The tridiagonal's entries, two
+    floats a step, are not counted."""
     return (16 * 6 << instance.num_qubits) + kernels._applier_bytes(instance)
 
 
-def _lanczos(applier, dim):
+def _lanczos(applier, dim, alphas=None, betas=None):
     """The Lanczos recurrence on Q from ``_start_vector``: yields each
     vector v_j with the tridiagonal's diagonal entry alpha_j and the
-    coupling beta_j to v_{j+1}.  Every call runs the same floating-point
-    operations, so a second call yields the same vectors bit for bit.  A
-    caller stops at a zero beta, which the next step would divide by."""
-    prev, vec, beta = 0.0, _start_vector(dim), 0.0
-    while True:
+    coupling beta_j to v_{j+1}.  A caller stops at a zero beta, which the
+    next step would divide by.
+
+    Given the ``alphas`` and ``betas`` of an earlier call, it replays that
+    call's steps, computing no dot product and no norm, and yields the same
+    vectors bit for bit: the matvec and the in-place BLAS updates take the
+    same inputs in the same order.  BLAS works on the matvec's result in
+    place: ``np.vdot``, ``np.linalg.norm`` and numpy's in-place operators
+    took 1.0, 3.1 and 2.5-4.5 us on 2^10 amplitudes, against 0.5-0.9 us for
+    ``zdotc``, ``dznrm2``, ``zaxpy`` and ``zdscal`` (one OpenBLAS thread).
+    """
+    replay = alphas is not None
+    prev, vec = None, _start_vector(dim)
+    for j in range(len(alphas)) if replay else itertools.count():
         w = applier(vec)
-        alpha = np.vdot(vec, w).real
-        w -= alpha * vec
-        w -= beta * prev
-        beta = np.linalg.norm(w)
-        yield vec, float(alpha), float(beta)
-        w /= beta
+        alpha = alphas[j] if replay else _ZDOTC(vec, w).real
+        _ZAXPY(vec, w, a=-alpha)
+        if prev is not None:
+            _ZAXPY(prev, w, a=-beta)
+        beta = betas[j] if replay else _DZNRM2(w)
+        yield vec, alpha, beta
+        _ZDSCAL(1.0 / beta, w, overwrite_x=1)
         prev, vec = vec, w
 
 
@@ -218,7 +240,7 @@ def _krylov_ground_pair(instance):
     applier = kernels.InstanceApplier(instance)
     tol = config.KRYLOV_TOL * instance.num_terms
     alphas, betas = [], []
-    for _, alpha, beta in _lanczos(applier, dim):
+    for vec, alpha, beta in _lanczos(applier, dim):
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
@@ -230,10 +252,11 @@ def _krylov_ground_pair(instance):
         converged = beta * abs(ritz[-1, 0]) <= tol
         if converged or steps == 10 * dim:
             break
+    # Rebinding vec drops the first pass's last vector before the replay.
     vec = np.zeros(dim, dtype=np.complex128)
-    for y, (v, _, _) in zip(ritz[:, 0], _lanczos(applier, dim)):
-        vec += y * v
-    vec /= np.linalg.norm(vec)
+    for y, (v, _, _) in zip(ritz[:, 0], _lanczos(applier, dim, alphas, betas)):
+        _ZAXPY(v, vec, a=y)
+    _ZDSCAL(1.0 / _DZNRM2(vec), vec, overwrite_x=1)
     lam = float(theta[0])
     if not converged:
         raise ConvergenceError(
@@ -241,8 +264,9 @@ def _krylov_ground_pair(instance):
             best_lambda0=lam,
             best_vector=vec,
         )
-    residual = float(np.linalg.norm(applier(vec) - lam * vec))
-    return lam, vec, residual
+    image = applier(vec)
+    _ZAXPY(vec, image, a=-lam)
+    return lam, vec, _DZNRM2(image)
 
 
 def _route(n, method):

@@ -141,13 +141,13 @@ class TestSampleEnsemble:
         assert tally(result) == per_trial_tally(num_qubits, supports, trials, seed)
 
     @pytest.mark.parametrize("num_qubits, supports, trials, seed", [
-        # 70 trials at n = 6 span two stacks of 4^(9 - 6) = 64.
+        # 70 trials at n = 6 span five stacks of 4^(8 - 6) = 16.
         (6, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], 70, 31),
         (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5)], 70, 7),
         # Trial 0 of seed 470 lands in the indeterminate band; so does trial
-        # 65 of seed 407, the same stream, in the second stack at n = 6.
+        # 17 of seed 455, the same stream, in the second stack at n = 6.
         (3, [(0, 1), (0, 1), (0, 1), (1, 2)], 20, 470),
-        (6, [(0, 1), (0, 1), (0, 1), (1, 2)], 70, 407),
+        (6, [(0, 1), (0, 1), (0, 1), (1, 2)], 70, 455),
     ], ids=["sat-chain", "unsat-graph", "indeterminate", "indeterminate-in-second-stack"])
     def test_stacks_tally_like_one_verdict_per_trial_on_fixed_structures(
             self, num_qubits, supports, trials, seed):
@@ -200,8 +200,8 @@ class TestSampleEnsemble:
                 assert np.array_equal(drawn, states[trial])
 
     def test_memory_does_not_grow_with_trials(self):
-        # A stack holds 4^(9 - 3) = 4,096 triangle-double trials, so both
-        # runs reach one full stack; the longer one runs three.
+        # A stack holds 4^(8 - 3) = 1,024 triangle-double trials, so both
+        # runs fill whole stacks: four of them, and twelve.
         num_qubits, supports = qk.triangle_double_structure()
         peaks = []
         for trials in (4_100, 12_300):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -214,6 +215,20 @@ class TestGroundEnergy:
         second = qk.ground_energy(inst, method="krylov")
         assert first.lambda0 == second.lambda0
 
+    def test_lanczos_replay_yields_the_same_vectors(self):
+        # The Ritz vector sums the replayed vectors with the first pass's
+        # Ritz coefficients, so the replay must match the first pass bit
+        # for bit, here far past the loss of orthogonality.
+        inst = random_instance(np.random.Generator(np.random.Philox(key=9)), 9, 18, k=3)
+        applier, dim = kernels.InstanceApplier(inst), 1 << 9
+        first = list(itertools.islice(spectral._lanczos(applier, dim), 300))
+        alphas = [alpha for _, alpha, _ in first]
+        betas = [beta for _, _, beta in first]
+        replay = list(spectral._lanczos(applier, dim, alphas, betas))
+        assert len(replay) == 300
+        for (v, _, _), (w, _, _) in zip(first, replay):
+            assert np.array_equal(v, w)
+
     def test_krylov_handles_single_qubit_instances(self):
         blocked = qk.QsatInstance(
             1,
@@ -389,6 +404,25 @@ class TestDecideSat:
 
     def test_empty_instance_is_satisfiable(self):
         assert qk.decide_sat(qk.QsatInstance(2, [])).tag == qk.SATISFIABLE
+
+    @pytest.mark.parametrize("k, num_terms, seed, frustrated", [
+        (3, 18, 1, True), (2, 9, 3, False), (3, 18, 3, False),
+    ], ids=["frustrated", "haar-k2", "haar-k3"])
+    def test_unsatisfiable_nine_qubit_instances_go_krylov(self, k, num_terms, seed, frustrated):
+        # n = 9 is above the dense cutoff and no witness exists, so Krylov
+        # decides, with the dense route's tag and ground energy.  The k = 2
+        # instance is near the edge: lambda0 = 5.2e-3.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        if frustrated:
+            extra = random_instance(rng, 9, num_terms - 4, k=k).terms
+            inst = qk.QsatInstance(9, qk.figure_b().terms + extra)
+        else:
+            inst = random_instance(rng, 9, num_terms, k=k)
+        verdict = qk.decide_sat(inst)
+        dense = qk.decide_sat(inst, method="dense")
+        assert verdict.method == "krylov"
+        assert verdict.tag == dense.tag == qk.UNSATISFIABLE
+        assert abs(verdict.lambda0 - dense.lambda0) <= 1e-10
 
     def test_energy_between_bands_is_indeterminate(self):
         verdict = qk.decide_sat(near_identity_pair())
