@@ -69,6 +69,14 @@ Z_COMMUTATION_TOL = 1e-12  # residual amplitude mass off the dominant dummy slic
 KRYLOV_TOL = 1e-10
 KRYLOV_SEED = 0x6A09E667  # fixed start-vector seed: deterministic iterations
 
+# Bytes of Lanczos vectors the first pass keeps, the latest ones, so that the
+# Ritz vector needs no replay of the steps they cover.  The near-frustration-
+# free n = 10 solves of qsatbench's large_krylov take 960-1,000 steps of
+# 16 KiB vectors, 16 MiB, and fit with room to spare; at n = 18 the budget
+# keeps 8 vectors, about 11% of the 289 MiB a forced-Krylov planted solve
+# peaks at, and the replay does the rest.
+KRYLOV_KEEP_BYTES = 32 << 20
+
 
 def max_qubits() -> int:
     """Global qubit ceiling; the QSAT_MAX_QUBITS env var overrides it."""

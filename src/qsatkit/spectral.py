@@ -5,8 +5,10 @@ Two independent solver routes back every claim in the library:
 * a dense route — the full 2^n x 2^n operator is materialized by index
   arithmetic and passed to a Hermitian eigensolver (lowest eigenpair only);
 * a matrix-free Krylov route — the plain Lanczos recurrence on Q itself,
-  which keeps three vectors and no basis, and whose lowest Ritz pair is
-  the ground state.
+  which needs three vectors and no basis, and whose lowest Ritz pair is
+  the ground state; the latest vectors, up to ``config.KRYLOV_KEEP_BYTES``,
+  are kept to sum the Ritz vector, and a second pass replays any older
+  steps.
 
 A third mechanism, singular-value-based null-space intersection, needs no
 eigensolve.  It keeps its basis on the qubits the terms seen so far touch,
@@ -161,27 +163,37 @@ def _dense_ground_pair(qmat):
 # the tridiagonal for that one pair: 30 us at 20 steps and 570-670 us at
 # 1,000, against 49 us for a whole step at n = 10, of which 45-47 us is the
 # matvec (one OpenBLAS thread).  The near-frustration-free n = 10 solves of
-# qsatbench's large_krylov take 960-1,000 steps a pass and 48-50 checks.
+# qsatbench's large_krylov take 960-1,000 steps and 48-50 checks; with
+# every vector kept and no replay, the checks take 16-25 ms of a 66-122 ms
+# solve, 20-26% (13-17% while a second pass replayed every step).
 # An interval of max(20, steps // 8) made 24 checks but ran 1,038 steps a
 # pass: in three interleaved runs of 20-30 solves per frame it took
 # 0.91-0.94x the time on four frames, but 0.91-1.10x on the one that
 # converges at 960 steps, so the interval stays fixed.  A check every step
 # would cost more than the steps, and a rarer one runs further past
-# convergence, twice over with the second pass.
+# convergence.
 _RITZ_CHECK = 20
+
+
+def _kept_vectors(num_qubits):
+    """Lanczos vectors the first pass of ``_krylov_ground_pair`` keeps:
+    as many as ``config.KRYLOV_KEEP_BYTES`` holds, and no more than the
+    10 * 2^n steps it may take."""
+    return min(config.KRYLOV_KEEP_BYTES // (16 << num_qubits), 10 << num_qubits)
 
 
 def _krylov_bytes(instance):
     """Bytes the Lanczos iteration of ``_krylov_ground_pair`` holds at once:
-    six vectors of the register, and the applier's sparse factor with a
-    matvec's temporaries (``kernels._applier_bytes``).  Those include the
-    matvec's result, which the step turns into the next vector in place.
-    Besides it the recurrence holds the current and the previous vector,
-    the second pass also the Ritz vector, summed in place, and drawing the
-    start vector takes two and a half vectors for a moment: at most three
-    and a half vectors, within the six.  The tridiagonal's entries, two
-    floats a step, are not counted."""
-    return (16 * 6 << instance.num_qubits) + kernels._applier_bytes(instance)
+    the kept vectors (``_kept_vectors``), six more vectors of the register,
+    and the applier's sparse factor with a matvec's temporaries
+    (``kernels._applier_bytes``).  Those include the matvec's result, which
+    the step turns into the next vector in place.  Besides it the recurrence
+    holds the current and the previous vector, the Ritz vector is summed in
+    place, and drawing the start vector of either pass takes two and a half
+    vectors for a moment: at most three and a half vectors, within the six.
+    The tridiagonal's entries, two floats a step, are not counted."""
+    n = instance.num_qubits
+    return (16 * (_kept_vectors(n) + 6) << n) + kernels._applier_bytes(instance)
 
 
 def _lanczos(applier, dim, alphas=None, betas=None):
@@ -190,13 +202,15 @@ def _lanczos(applier, dim, alphas=None, betas=None):
     coupling beta_j to v_{j+1}.  A caller stops at a zero beta, which the
     next step would divide by.
 
-    Given the ``alphas`` and ``betas`` of an earlier call, it replays that
-    call's steps, computing no dot product and no norm, and yields the same
-    vectors bit for bit: the matvec and the in-place BLAS updates take the
-    same inputs in the same order.  BLAS works on the matvec's result in
-    place: ``np.vdot``, ``np.linalg.norm`` and numpy's in-place operators
-    took 1.0, 3.1 and 2.5-4.5 us on 2^10 amplitudes, against 0.5-0.9 us for
-    ``zdotc``, ``dznrm2``, ``zaxpy`` and ``zdscal`` (one OpenBLAS thread).
+    Given the ``alphas`` and ``betas`` of an earlier call, or their first
+    entries, it replays that call's first steps, computing no dot product
+    and no norm, and yields the same vectors bit for bit: the matvec and the
+    in-place BLAS updates take the same inputs in the same order.
+    ``_krylov_ground_pair`` replays the steps older than the vectors it
+    keeps.  BLAS works on the matvec's result in place: ``np.vdot``,
+    ``np.linalg.norm`` and numpy's in-place operators took 1.0, 3.1 and
+    2.5-4.5 us on 2^10 amplitudes, against 0.5-0.9 us for ``zdotc``,
+    ``dznrm2``, ``zaxpy`` and ``zdscal`` (one OpenBLAS thread).
     """
     replay = alphas is not None
     prev, vec = None, _start_vector(dim)
@@ -223,11 +237,15 @@ def _krylov_ground_pair(instance):
     (theta, y) of the tridiagonal is computed, and the iteration stops when
     its residual beta |y_last| is at most KRYLOV_TOL * m.  A beta within
     that bound marks an invariant subspace; it is checked at once and meets
-    the same test.  A second pass replays the recurrence and sums the Ritz
-    vector from y.  After 10 * 2^n steps it raises ConvergenceError with
-    the lowest Ritz pair.  Before anything is allocated, an iteration that
-    would need more bytes than the machine's physical memory raises
-    CapacityError.
+    the same test.  The Ritz vector is the sum over the steps, in step
+    order, of y_j v_j.  The first pass copies each vector into row j % keep
+    of one preallocated ring of ``_kept_vectors`` rows, so the latest keep
+    vectors are at hand; a second pass replays the recurrence for the older
+    steps only, and is skipped when there are none.  The ring holds 2,048
+    vectors at n = 10 and 8 at n = 18.  The sum is the same, bit for bit,
+    at any keep.  After 10 * 2^n steps it raises ConvergenceError with the
+    lowest Ritz pair.  Before anything is allocated, an iteration that would
+    need more bytes than the machine's physical memory raises CapacityError.
     """
     n = instance.num_qubits
     dim = 1 << n
@@ -239,8 +257,14 @@ def _krylov_ground_pair(instance):
         )
     applier = kernels.InstanceApplier(instance)
     tol = config.KRYLOV_TOL * instance.num_terms
+    # One array rather than a deque of the step vectors: its pages are
+    # touched only as rows are written, and it leaves no small blocks behind.
+    keep = _kept_vectors(n)
+    kept = np.empty((keep, dim), dtype=np.complex128)
     alphas, betas = [], []
     for vec, alpha, beta in _lanczos(applier, dim):
+        if keep:
+            kept[len(alphas) % keep] = vec
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
@@ -254,8 +278,14 @@ def _krylov_ground_pair(instance):
             break
     # Rebinding vec drops the first pass's last vector before the replay.
     vec = np.zeros(dim, dtype=np.complex128)
-    for y, (v, _, _) in zip(ritz[:, 0], _lanczos(applier, dim, alphas, betas)):
-        _ZAXPY(v, vec, a=y)
+    replayed = max(steps - keep, 0)
+    if replayed:
+        for y, (v, _, _) in zip(
+            ritz[:replayed, 0], _lanczos(applier, dim, alphas[:replayed], betas[:replayed])
+        ):
+            _ZAXPY(v, vec, a=y)
+    for j in range(replayed, steps):
+        _ZAXPY(kept[j % keep], vec, a=ritz[j, 0])
     _ZDSCAL(1.0 / _DZNRM2(vec), vec, overwrite_x=1)
     lam = float(theta[0])
     if not converged:

@@ -229,6 +229,46 @@ class TestGroundEnergy:
         for (v, _, _), (w, _, _) in zip(first, replay):
             assert np.array_equal(v, w)
 
+    def test_kept_vectors_leave_the_krylov_pair_bit_for_bit(self, monkeypatch):
+        # The Ritz vector sums the replayed vectors, then the ring's, in step
+        # order.  The solve takes 160 steps: no vector kept, 7 or 100 kept
+        # (the ring wraps and the replay covers the rest) and the default
+        # budget (all kept, no replay) give the same pair.  The last steps
+        # weigh little in the sum, so only a ring that wraps over the heavy
+        # early ones shows a sum in the ring's row order instead.
+        inst = random_instance(np.random.Generator(np.random.Philox(key=9)), 9, 18, k=3)
+        pairs = []
+        for budget in (0, 7 * 16 << 9, 100 * 16 << 9, qk.config.KRYLOV_KEEP_BYTES):
+            monkeypatch.setattr(qk.config, "KRYLOV_KEEP_BYTES", budget)
+            pairs.append(spectral._krylov_ground_pair(inst))
+        for lam, vec, residual in pairs[1:]:
+            assert lam == pairs[0][0]
+            assert np.array_equal(vec, pairs[0][1])
+            assert residual == pairs[0][2]
+
+    def test_kept_vectors_spare_the_replay(self, monkeypatch):
+        # At the default budget every vector of an n = 9 solve is kept: one
+        # matvec a step and one for the residual, and no second pass.
+        inst = random_instance(np.random.Generator(np.random.Philox(key=9)), 9, 18, k=3)
+        matvecs, passes = [], []
+        apply, lanczos = kernels.InstanceApplier.__call__, spectral._lanczos
+
+        def counted_apply(self, state):
+            matvecs.append(1)
+            return apply(self, state)
+
+        def counted_lanczos(applier, dim, alphas=None, betas=None):
+            passes.append(0)
+            for item in lanczos(applier, dim, alphas, betas):
+                passes[-1] += 1
+                yield item
+
+        monkeypatch.setattr(kernels.InstanceApplier, "__call__", counted_apply)
+        monkeypatch.setattr(spectral, "_lanczos", counted_lanczos)
+        spectral._krylov_ground_pair(inst)
+        assert len(matvecs) == passes[0] + 1
+        assert len(passes) == 1
+
     def test_krylov_handles_single_qubit_instances(self):
         blocked = qk.QsatInstance(
             1,
@@ -288,14 +328,15 @@ class TestGroundEnergy:
         assert np.linalg.norm(exc.value.best_vector) == pytest.approx(1.0)
 
     def test_krylov_refuses_more_than_physical_memory(self, monkeypatch, figure_b):
-        # The estimate counts six vectors and the applier's sparse factor:
-        # more than nine vectors of 2^n amplitudes at n = 3, less than 36.
+        # The estimate counts six vectors and the applier's sparse factor,
+        # more than nine vectors of 2^n amplitudes at n = 3 and less than
+        # 36, and the 80 kept vectors, one a step up to the 10 * 2^n cap.
         n = figure_b.num_qubits
         basis = 9 * 16 << n
         monkeypatch.setattr(qk.config, "physical_memory", lambda: basis)
         with pytest.raises(qk.CapacityError, match="Lanczos"):
             qk.ground_energy(figure_b, method="krylov")
-        monkeypatch.setattr(qk.config, "physical_memory", lambda: 4 * basis)
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 4 * basis + (80 * 16 << n))
         assert qk.ground_energy(figure_b, method="krylov").method == "krylov"
 
     @pytest.mark.parametrize("kernel", KERNELS, indirect=True)
@@ -304,12 +345,21 @@ class TestGroundEnergy:
         assert result.method == "krylov"
         assert spectral._krylov_bytes(inst) >= peak
 
-    def test_krylov_holds_a_few_vectors_besides_the_applier(self, figure_b):
-        # The recurrence keeps no basis: at n = 12 the solve peaks within
-        # eight vectors of 2^n amplitudes over the applier's bytes.
+    def test_krylov_holds_a_few_vectors_besides_the_applier(self, monkeypatch, figure_b):
+        # The recurrence keeps no basis: with no vectors kept, the solve at
+        # n = 12 peaks within eight vectors of 2^n amplitudes over the
+        # applier's bytes.
+        monkeypatch.setattr(qk.config, "KRYLOV_KEEP_BYTES", 0)
         inst, result, peak = _traced_krylov_solve(figure_b)
         assert result.residual <= qk.config.RESIDUAL_TOL
         assert peak <= kernels._applier_bytes(inst) + 8 * 16 * (1 << inst.num_qubits)
+
+    def test_krylov_holds_its_kept_vectors_besides_the_applier(self, figure_b):
+        # The default budget adds its own bytes to that bound and no more.
+        inst, result, peak = _traced_krylov_solve(figure_b)
+        assert result.residual <= qk.config.RESIDUAL_TOL
+        assert peak <= (kernels._applier_bytes(inst) + 8 * 16 * (1 << inst.num_qubits)
+                        + qk.config.KRYLOV_KEEP_BYTES)
 
     def test_unknown_method_is_rejected(self, figure_a):
         with pytest.raises(qk.ArgumentError):
