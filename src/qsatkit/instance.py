@@ -56,6 +56,11 @@ class RankOneTerm:
         v = self.amplitudes
         return np.outer(v, v.conj())
 
+    def action(self) -> np.ndarray:
+        """The term's action A, shape (1, 2^k): the row <psi|, whose A^H A
+        is |psi><psi|."""
+        return self.amplitudes.conj()[None]
+
     def __eq__(self, other):
         return (
             isinstance(other, RankOneTerm)
@@ -84,6 +89,15 @@ class GeneralTerm:
 
     def dense(self) -> np.ndarray:
         return np.asarray(self.matrix)
+
+    def action(self) -> np.ndarray:
+        """The term's action A, shape (r, 2^k): the image of the projector P,
+        its r eigenvectors of eigenvalue above 1/2 as rows sqrt(lambda) v^H.
+        A^H A is P up to the Hermiticity and idempotency tolerances an
+        instance is validated to, and r rows take the place of 2^k."""
+        values, vectors = np.linalg.eigh(self.matrix)
+        image = values > 0.5
+        return (vectors[:, image] * np.sqrt(values[image])).conj().T
 
     def __eq__(self, other):
         return (
@@ -122,6 +136,11 @@ class QsatInstance:
 
     def supports(self) -> list:
         return [t.support for t in self.terms]
+
+    def actions(self) -> list:
+        """Each term's action A (see ``RankOneTerm.action``), with A^H A the
+        term's projector; every numeric layer reads the terms through it."""
+        return [t.action() for t in self.terms]
 
     def __eq__(self, other):
         return (

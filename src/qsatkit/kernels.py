@@ -1,21 +1,22 @@
 """Matrix-free application of instances to states.
 
 ``InstanceApplier`` computes ``Q @ state`` through one sparse factor B with
-Q = B^H B, built once from the per-term ``fiber_layout`` plans that
-``assemble_dense`` also uses; its two products run in scipy's compiled CSR
-loops.  B has a row per term and fiber for a rank-1 term |v><v| (the row <v|
-on that fiber's indices) and r for a general term of rank r, so a matvec is
-conj(B^T conj(B x)): at n = 10, m = 10, k = 3 its median took 46-76 us
-against 223-225 us for the per-term numpy gather/scatter it replaced (one
-OpenBLAS thread).  Whole forced-Krylov solves at n = 18 took 31.4-32.7 s
-on it against 27.4-34.0 s on C99 gather/scatter loops over the same plans,
-so the package has no compiled extension.
+Q = B^H B, built once from the terms' actions A (``QsatInstance.actions``,
+with A^H A the term's projector) and the per-term ``fiber_layout`` plans
+that ``assemble_dense`` also uses; its two products run in scipy's compiled
+CSR loops.  B has a row per row of A and fiber: one for a rank-1 term
+|v><v| (the row <v| on that fiber's indices) and r for a general term of
+rank r, so a matvec is conj(B^T conj(B x)): at n = 10, m = 10, k = 3 its
+median took 46-76 us against 223-225 us for the per-term numpy
+gather/scatter it replaced (one OpenBLAS thread).  Whole forced-Krylov
+solves at n = 18 took 31.4-32.7 s on it against 27.4-34.0 s on C99
+gather/scatter loops over the same plans, so the package has no compiled
+extension.
 """
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionMismatchError
-from .instance import GeneralTerm, QsatInstance, RankOneTerm
 
 
 def backend_name() -> str:
@@ -56,26 +57,24 @@ class InstanceApplier:
     whole; any other shape raises DimensionMismatchError.  Each call
     allocates B x and the result, which it returns, and nothing else.
 
-    B holds a general term M through its image: its r eigenvectors of
-    eigenvalue above 1/2, each scaled by the square root of its eigenvalue.
-    That takes r rows per fiber instead of 2^k, and the term's part of
-    B^H B is M up to the Hermiticity and idempotency tolerances an instance
-    is validated to.
+    The one argument is a ``QsatInstance`` or any object with its four
+    members ``num_qubits``, ``num_terms``, ``supports()`` and ``actions()``:
+    the Krylov route passes one instance of a stack that way.  The
+    constructor reads ``num_qubits``, ``supports()`` and ``actions()``;
+    ``num_terms`` is there for the benchmark's tracer
+    (``qsatbench/tracing.py``), which wraps this constructor and reads it.
     """
 
-    def __init__(self, instance: QsatInstance):
+    def __init__(self, instance):
         self.num_qubits = instance.num_qubits
         self.dim = 1 << instance.num_qubits
         plans = []
-        for term in instance.terms:
-            # The plan must tile the register and the term must match the
+        for support, action in zip(instance.supports(), instance.actions()):
+            # The plan must tile the register and the action must match the
             # fiber: scipy's CSR products do not check their indices.
-            bases, offsets = fiber_layout(self.num_qubits, term.support)
-            action = _term_rows(term)
+            bases, offsets = fiber_layout(self.num_qubits, support)
             if len(bases) * len(offsets) != self.dim or action.shape[1] != len(offsets):
-                raise ArgumentError(
-                    f"term on {term.support} does not fit {self.num_qubits} qubits"
-                )
+                raise ArgumentError(f"term on {support} does not fit {self.num_qubits} qubits")
             plans.append((bases, offsets, action))
         self._factor, self._adjoint = _sparse_factor(self.dim, plans)
 
@@ -91,18 +90,6 @@ class InstanceApplier:
         # B^H y = conj(B^T conj(y)), with B^T the CSC view of B's arrays.
         result = self._adjoint @ image
         return np.conjugate(result, out=result)
-
-
-def _term_rows(term):
-    """The rows of B that act on one fiber of ``term``: <v| for a rank-1 term
-    |v><v|, and for a general term its image (see ``InstanceApplier``)."""
-    if isinstance(term, RankOneTerm):
-        return term.amplitudes.conj()[None]
-    if isinstance(term, GeneralTerm):
-        values, vectors = np.linalg.eigh(term.matrix)
-        image = values > 0.5
-        return (vectors[:, image] * np.sqrt(values[image])).conj().T
-    raise ArgumentError(f"unsupported term type {type(term).__name__}")
 
 
 def _sparse_factor(dim, plans):
@@ -139,19 +126,17 @@ def _sparse_factor(dim, plans):
 
 
 def _applier_bytes(instance):
-    """Bytes an InstanceApplier holds for ``instance``, with a matvec's
-    temporaries: the sparse factor B of ``_sparse_factor``, with a general
-    term at its largest rank, and a matvec's B x and result."""
-    dim = 1 << instance.num_qubits
+    """Bytes an InstanceApplier holds for ``instance``, which it takes as
+    the applier does, with a matvec's temporaries: the arrays of the sparse
+    factor B of ``_sparse_factor``, a row per row of a term's action and
+    fiber, and a matvec's B x and result."""
+    n = instance.num_qubits
     rows = nnz = 0
-    for term in instance.terms:
-        k = len(term.support)
-        # Rows of B per fiber: <v| for a rank-1 term, at most 2^k for a general one.
-        width = 1 if isinstance(term, RankOneTerm) else 1 << k
-        rows += (dim >> k) * width
-        nnz += dim * width
+    for support, action in zip(instance.supports(), instance.actions()):
+        rows += len(action) << (n - len(support))
+        nnz += len(action) << n
     index = 4 if nnz < 1 << 31 else 8
-    return (16 + index) * nnz + index * (rows + 1) + 16 * (rows + dim)
+    return (16 + index) * nnz + index * (rows + 1) + 16 * (rows + (1 << n))
 
 
 def apply_instance(instance, state):

@@ -31,13 +31,17 @@ and Krylov beyond; no dense routine accepts more than
 pair from it, and ``_decide``, the one verdict pipeline, tags the pairs it
 yields.  Both work on a stack of instances that share one structure, with a
 leading instance axis; ``ground_energy`` and ``decide_sat`` are stacks of
-one, and ``sample_ensemble`` decides its trials in stacks.  Every dense
-lowest eigenpair, including the dominance and pinned-sector checks of the
-gadget reduction, comes from ``_dense_ground_pair``.
+one, and ``sample_ensemble`` decides its trials in stacks.  Every numeric
+layer reads a stack as ``(num_qubits, supports, actions)``, with the terms'
+own actions A (``QsatInstance.actions``; A^H A is the projector).  The
+gadget reduction's pinned-sector checks solve ``_pin``'s restriction on
+the free qubits only.  Every dense lowest eigenpair, including those and
+the dominance checks, comes from ``_dense_ground_pair``.
 """
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -102,22 +106,24 @@ def assemble_dense(instance: QsatInstance) -> np.ndarray:
 
 def _assemble_stack(num_qubits, supports, actions):
     """The operators of a stack of instances on one structure, shape
-    (T, 2^n, 2^n), from the terms' actions A (see ``_actions``) as A^H A:
-    ``np.outer``'s |v><v|, entry for entry, from a rank-1 term's row <v|,
-    and a general term's action, which is its projector.  No terms give a
-    stack of one zero operator.
+    (T, 2^n, 2^n), from the terms' actions A (see ``_actions``) as A^H A,
+    summed row by row: a row a adds conj(a) a^T, which for a rank-1 term's
+    row <v| is ``np.outer``'s |v><v| entry for entry (``@`` and
+    ``np.einsum`` change its last bits).  No terms give a stack of one zero
+    operator.
 
     ``kernels.fiber_layout`` lists the register indices of every fiber of a
-    term; one fancy-indexed addition per term scatters the term matrices onto
-    all fibers of all instances at once.
+    term; one fancy-indexed addition per row scatters it onto all fibers of
+    all instances at once.
     """
     dim = 1 << num_qubits
     q = np.zeros((len(actions[0]) if actions else 1, dim, dim), dtype=np.complex128)
     for support, action in zip(supports, actions):
-        matrix = action.conj().swapaxes(1, 2) * action if action.shape[1] == 1 else action
         bases, offsets = kernels.fiber_layout(num_qubits, support)
         idx = bases[:, None] + offsets
-        q[:, idx[:, :, None], idx[:, None, :]] += matrix[:, None]
+        for a in action.swapaxes(0, 1):
+            gram = a.conj()[:, :, None] * a[:, None, :]
+            q[:, idx[:, :, None], idx[:, None, :]] += gram[:, None]
     return q
 
 
@@ -332,29 +338,29 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
         vec = np.zeros(1 << n, dtype=np.complex128)
         vec[0] = 1.0
         return SpectralResult(0.0, 0.0, vec, method, 0.0)
-    lam, vec, residual = next(
-        _ground_pairs(n, instance.supports(), _actions(instance.terms), method, instance)
-    )
+    actions = _actions(instance.terms)
+    lam, vec, residual = next(_ground_pairs(n, instance.supports(), actions, method))
     return SpectralResult(lam, lam / m, vec, method, residual)
 
 
-def _ground_pairs(num_qubits, supports, actions, route, instance=None):
+def _ground_pairs(num_qubits, supports, actions, route):
     """The one ground-state stage: yields the lowest eigenpair
     ``(lambda0, vector, residual)`` of each instance of a stack on one
-    structure, with ``actions`` as in ``_local_nullspace_basis`` and at least
-    one term.  The dense route solves each operator of one
-    ``_assemble_stack``; the Krylov route iterates on each instance, on
-    ``instance`` itself for a stack of one when the caller has it.  A pair
-    whose residual exceeds ``config.RESIDUAL_TOL`` raises ConvergenceError,
-    carrying the pair as the best iterate.
+    structure, with ``actions`` as in ``_local_nullspace_basis`` (at least
+    one term on the Krylov route).  The dense route solves each operator of
+    one ``_assemble_stack``; the Krylov route iterates on each instance,
+    passed as a view with the four members of a ``QsatInstance`` that
+    ``kernels.InstanceApplier`` reads.  A pair whose residual exceeds
+    ``config.RESIDUAL_TOL`` raises ConvergenceError, carrying the pair as
+    the best iterate.
     """
     if route == "dense":
         pairs = map(_dense_ground_pair, _assemble_stack(num_qubits, supports, actions))
     else:
-        pairs = (_krylov_ground_pair(instance or QsatInstance(num_qubits, [
-            RankOneTerm(s, a[t, 0].conj()) if a.shape[1] == 1 else GeneralTerm(s, a[t])
-            for s, a in zip(supports, actions)
-        ])) for t in range(len(actions[0])))
+        pairs = (_krylov_ground_pair(SimpleNamespace(
+            num_qubits=num_qubits, num_terms=len(supports),
+            supports=lambda: supports, actions=lambda t=t: [a[t] for a in actions],
+        )) for t in range(len(actions[0])))
     for lam, vec, residual in pairs:
         if residual > config.RESIDUAL_TOL:
             raise ConvergenceError(
@@ -415,14 +421,9 @@ def _kron(a: np.ndarray, b: np.ndarray, max_bytes=None) -> np.ndarray:
 
 
 def _actions(terms) -> list:
-    """Each term as a stack of one operator A whose kernel is the term's
-    null space and with A^H A the term's projector: the row <v| of a rank-1
-    term |v><v|, the matrix of a general term."""
-    return [
-        np.asarray(t.amplitudes).conj()[None, None, :] if isinstance(t, RankOneTerm)
-        else np.asarray(t.matrix)[None]
-        for t in terms
-    ]
+    """Each term's action A (``RankOneTerm.action``), with A^H A the term's
+    projector and so its null space the term's, as a stack of one."""
+    return [t.action()[None] for t in terms]
 
 
 def _local_nullspace_basis(supports, actions, max_bytes=None):
@@ -583,19 +584,15 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     witness did not run; any disagreement downgrades it to indeterminate
     rather than guessing.
     """
-    return _decide(
-        instance.num_qubits, instance.supports(), _actions(instance.terms), method, instance
-    )[0]
+    return _decide(instance.num_qubits, instance.supports(), _actions(instance.terms), method)[0]
 
 
-def _decide(num_qubits, supports, actions, method="auto", instance=None) -> list:
+def _decide(num_qubits, supports, actions, method="auto") -> list:
     """``decide_sat`` for a stack of instances on one structure, one verdict
     per instance; ``actions`` are as in ``_local_nullspace_basis``.  An
     instance that leaves the stack there is decided alone.  The instances
     that no witness decides are tagged from the pairs of the ground-state
-    stage ``_ground_pairs``.  ``instance`` is the one instance of a stack of
-    one when the caller has it: the Krylov route then runs on it instead of
-    rebuilding it from its actions.
+    stage ``_ground_pairs``.
     """
     n, m = num_qubits, len(supports)
     route = _route(n, method)
@@ -626,7 +623,7 @@ def _decide(num_qubits, supports, actions, method="auto", instance=None) -> list
         todo = todo[~sat]
     if not len(todo):
         return verdicts
-    pairs = _ground_pairs(n, supports, [a[todo] for a in actions], route, instance)
+    pairs = _ground_pairs(n, supports, [a[todo] for a in actions], route)
     for t, (lam, _, _) in zip(todo, pairs):
         verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, route)
     return verdicts
@@ -667,21 +664,38 @@ def operator_dominates(a, b, tol: float = config.DOMINANCE_TOL) -> bool:
     return bool(_dense_ground_pair(diff)[0] >= -tol)
 
 
+def _pin(num_qubits, supports, actions, fixed):
+    """A stack restricted to the basis states whose qubits in ``fixed``
+    (qubit -> bit) hold their bits: ``(free qubit count, supports,
+    actions)`` on the free qubits, relabelled in order.
+
+    Each action keeps the columns whose pinned bits match, so with P the
+    projector on those states, P Q P = sum (A P)^H (A P) is the principal
+    submatrix, entry for entry.  A term pinned on its whole support is left
+    on no qubits with the one column A e_b, whose squared norm
+    ``fiber_layout(n, ())`` adds to every diagonal entry.
+    """
+    free = [q for q in range(num_qubits) if q not in fixed]
+    pinned_supports = [tuple(free.index(q) for q in s if q not in fixed) for s in supports]
+    pinned_actions = []
+    for support, rest, action in zip(supports, pinned_supports, actions):
+        grid = action.reshape(action.shape[:-1] + (2,) * len(support))
+        bits = tuple(int(fixed[q]) if q in fixed else slice(None) for q in support)
+        pinned_actions.append(grid[(...,) + bits].reshape(action.shape[:-1] + (1 << len(rest),)))
+    return len(free), pinned_supports, pinned_actions
+
+
 def restricted_ground_energy(instance: QsatInstance, fixed) -> float:
     """Ground energy over basis states with the given qubits pinned.
 
-    ``fixed`` maps qubit index -> bit value; the operator is assembled
-    densely and restricted to the matching principal submatrix.
-    """
+    ``fixed`` maps qubit index -> bit value; ``_pin``'s restriction is solved
+    densely, with the dense cap on the free qubits, not on the register."""
     n = instance.num_qubits
-    qmat = assemble_dense(instance)
-    idx = np.arange(1 << n)
-    mask = np.ones(1 << n, dtype=bool)
     for qubit, bit in fixed.items():
-        if not 0 <= qubit < n:
-            raise ArgumentError(f"qubit {qubit} out of range for {n} qubits")
+        if not isinstance(qubit, (int, np.integer)) or not 0 <= qubit < n:
+            raise ArgumentError(f"qubit {qubit!r} out of range for {n} qubits")
         if bit not in (0, 1):
             raise ArgumentError(f"bit value for qubit {qubit} must be 0 or 1")
-        mask &= ((idx >> (n - 1 - qubit)) & 1) == bit
-    sel = np.flatnonzero(mask)
-    return _dense_ground_pair(qmat[np.ix_(sel, sel)])[0]
+    free, supports, actions = _pin(n, instance.supports(), _actions(instance.terms), fixed)
+    _route(free, "dense")
+    return next(_ground_pairs(free, supports, actions, "dense"))[0]

@@ -16,14 +16,19 @@ from qsatkit.ensembles import _draw
 from qsatkit.spectral import _decide
 
 
+def trial_instance(num_qubits, supports, seed, trial):
+    """A trial as its own instance, each term drawn by haar_random_term on
+    stream seed ^ trial."""
+    rng = np.random.Generator(np.random.Philox(key=seed ^ trial))
+    return qk.QsatInstance(num_qubits, [qk.haar_random_term(s, rng) for s in supports])
+
+
 def per_trial_tally(num_qubits, supports, trials, seed):
-    """The reference route: one instance and one decide_sat call per trial,
-    each term drawn by haar_random_term on stream seed ^ trial."""
-    tags = Counter()
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=seed ^ trial))
-        terms = [qk.haar_random_term(s, rng) for s in supports]
-        tags[qk.decide_sat(qk.QsatInstance(num_qubits, terms)).tag] += 1
+    """The reference route: one instance and one decide_sat call per trial."""
+    tags = Counter(
+        qk.decide_sat(trial_instance(num_qubits, supports, seed, trial)).tag
+        for trial in range(trials)
+    )
     return tags[qk.SATISFIABLE], tags[qk.UNSATISFIABLE], tags[qk.INDETERMINATE]
 
 
@@ -154,13 +159,27 @@ class TestSampleEnsemble:
         result = qk.sample_ensemble(num_qubits, supports, trials, seed)
         assert tally(result) == per_trial_tally(num_qubits, supports, trials, seed)
 
-    def test_trials_above_the_dense_cutoff_tally_like_one_verdict_per_trial(self):
-        # Every trial is a stack of one here, and unsatisfiable: Krylov decides.
+    def test_trials_above_the_dense_cutoff_tally_like_one_verdict_per_trial(self, monkeypatch):
+        # Every trial is a stack of one here, and unsatisfiable: Krylov
+        # decides, on a view of the stack's actions, and each lambda0 is
+        # that of decide_sat on the trial's own instance, bit for bit.
         n = qk.config.DENSE_CUTOFF + 1
         supports = ([(q, (q + 1) % n, (q + 3) % n) for q in range(n)]
                     + [(q, (q + 2) % n, (q + 5) % n) for q in range(n)])
+        verdicts = []
+
+        def recorded(*args):
+            stack = _decide(*args)
+            verdicts.extend(stack)
+            return stack
+
+        monkeypatch.setattr(qk.ensembles, "_decide", recorded)
         result = qk.sample_ensemble(n, supports, 4, seed=5)
         assert tally(result) == per_trial_tally(n, supports, 4, 5) == (0, 4, 0)
+        assert [v.method for v in verdicts] == ["krylov"] * 4
+        assert [v.lambda0 for v in verdicts] == [
+            qk.decide_sat(trial_instance(n, supports, 5, trial)).lambda0 for trial in range(4)
+        ]
 
     def test_structures_above_the_ceiling_are_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsatkit as qk
+from qsatkit import kernels
 from qsatkit.kernels import fiber_layout
 
 from conftest import KERNELS, embed_matrix, mixed_instances, oracle_matrix, random_instance
@@ -97,11 +98,13 @@ class TestApplier:
     def test_numpy_plans_must_fit_the_register(self, support, fiber):
         # Out-of-range and repeated qubits, and a payload shorter than the
         # fiber: scipy's CSR products do not check their indices.  A
-        # QsatInstance refuses these terms itself, so a stand-in with the two
-        # attributes the applier reads carries them to the plan check.
+        # QsatInstance refuses these terms itself, so a stand-in with the
+        # four members the applier takes carries them to the plan check.
         amplitudes = np.zeros(fiber)
         amplitudes[0] = 1.0
-        inst = SimpleNamespace(num_qubits=3, terms=(qk.RankOneTerm(support, amplitudes),))
+        action = qk.RankOneTerm(support, amplitudes).action()
+        inst = SimpleNamespace(num_qubits=3, num_terms=1,
+                               supports=lambda: [support], actions=lambda: [action])
         with pytest.raises(qk.ArgumentError):
             qk.InstanceApplier(inst)
 
@@ -168,3 +171,15 @@ def test_numpy_kernel_matches_assembly_on_batches(inst, batch):
     expected = qk.assemble_dense(inst) @ states
     assert applied.shape == states.shape
     assert np.abs(applied - expected).max(initial=0.0) <= 1e-12
+
+
+@given(mixed_instances(max_qubits=6))
+@settings(max_examples=60, deadline=None)
+def test_applier_bytes_are_the_built_factor_and_two_vectors(inst):
+    """``_applier_bytes`` counts B's arrays exactly, a row per row of each
+    term's action and fiber (r for a general term of rank r, not 2^k), plus
+    a matvec's B x and result."""
+    factor = qk.InstanceApplier(inst)._factor
+    built = factor.data.nbytes + factor.indices.nbytes + factor.indptr.nbytes
+    vectors = 16 * (factor.shape[0] + (1 << inst.num_qubits))
+    assert kernels._applier_bytes(inst) == built + vectors

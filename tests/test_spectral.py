@@ -70,6 +70,46 @@ def _traced_krylov_solve(warmup):
     return inst, result, peak
 
 
+def _broadcast_gram(inst):
+    """The reference operator of a rank-1 instance: each term's row a = <v|
+    adds the broadcast product conj(a)[:, None] * a[None, :], embedded by
+    the Kronecker oracle, in term order."""
+    n = inst.num_qubits
+    total = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for term in inst.terms:
+        a = term.amplitudes.conj()
+        total += embed_matrix(n, term.support, a.conj()[:, None] * a[None, :])
+    return total
+
+
+def _masked_ground_energy(inst, fixed):
+    """The reference for a pinned energy: the lowest eigenvalue of the
+    principal submatrix of the whole assembled operator on the basis states
+    whose pinned qubits hold their bits."""
+    n = inst.num_qubits
+    idx = np.arange(1 << n)
+    mask = np.ones(1 << n, dtype=bool)
+    for qubit, bit in fixed.items():
+        mask &= ((idx >> (n - 1 - qubit)) & 1) == bit
+    sel = np.flatnonzero(mask)
+    return spectral._dense_ground_pair(qk.assemble_dense(inst)[np.ix_(sel, sel)])[0]
+
+
+@st.composite
+def pinned_instances(draw):
+    """A mixed instance and pins on none, all, or some of its qubits, the
+    latter with or without the whole support of one of its terms."""
+    inst = draw(mixed_instances(max_qubits=6))
+    n = inst.num_qubits
+    kind = draw(st.sampled_from(["none", "all", "some", "whole-term"]))
+    qubits = set(range(n)) if kind == "all" else set()
+    if kind in ("some", "whole-term"):
+        qubits = set(draw(st.permutations(range(n)))[:draw(st.integers(0, n))])
+    if kind == "whole-term" and inst.terms:
+        qubits |= set(inst.terms[draw(st.integers(0, inst.num_terms - 1))].support)
+    return inst, {q: draw(st.integers(0, 1)) for q in sorted(qubits)}
+
+
 def _register_basis(inst):
     """The local null-space basis L, expanded to L (x) I on the register in
     the register's qubit order."""
@@ -103,6 +143,16 @@ class TestAssemble:
                                k=int(rng.integers(1, min(n, 3) + 1)))
         assert np.allclose(qk.assemble_dense(inst), oracle_matrix(inst),
                            atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_one_terms_assemble_to_the_broadcast_product(self, seed):
+        # Bit for bit: ``@`` or ``np.einsum`` in place of the broadcast
+        # product change the last bits of the operator.
+        rng = np.random.Generator(np.random.Philox(key=300 + seed))
+        n = int(rng.integers(1, 6))
+        inst = random_instance(rng, n, num_terms=int(rng.integers(1, 7)),
+                               k=int(rng.integers(1, min(n, 3) + 1)))
+        assert np.array_equal(qk.assemble_dense(inst), _broadcast_gram(inst))
 
     def test_assembled_operator_is_hermitian_psd(self):
         rng = np.random.Generator(np.random.Philox(key=99))
@@ -650,6 +700,45 @@ class TestRestrictedGroundEnergy:
     def test_invalid_qubit_is_rejected(self, figure_a):
         with pytest.raises(qk.ArgumentError):
             qk.restricted_ground_energy(figure_a, {7: 0})
+
+    def test_non_integer_qubit_is_rejected(self, figure_a):
+        # 1.5 would match no qubit and pin nothing.
+        with pytest.raises(qk.ArgumentError):
+            qk.restricted_ground_energy(figure_a, {1.5: 0})
+
+    @given(pinned_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_pinning_is_the_masked_principal_submatrix(self, case):
+        # Slicing the actions' columns gives the masked submatrix entry for
+        # entry on rank-1 terms; general terms' image rows agree to 1e-12.
+        inst, fixed = case
+        pinned = qk.restricted_ground_energy(inst, fixed)
+        masked = _masked_ground_energy(inst, fixed)
+        if all(isinstance(t, qk.RankOneTerm) for t in inst.terms):
+            assert pinned == masked
+        else:
+            assert abs(pinned - masked) <= 1e-12
+
+    def test_the_dense_cap_applies_to_the_free_qubits(self):
+        # 15 qubits, 7 of them pinned: a dense solve on 8.  The reference
+        # takes the pinned states' columns of the applier's factor B, whose
+        # B^H B is the principal submatrix.
+        rng = np.random.Generator(np.random.Philox(key=15))
+        inst = random_instance(rng, 15, 15, k=3)
+        fixed = {q: int(rng.integers(0, 2)) for q in range(0, 14, 2)}
+        idx = np.arange(1 << 15)
+        mask = np.ones(1 << 15, dtype=bool)
+        for qubit, bit in fixed.items():
+            mask &= ((idx >> (14 - qubit)) & 1) == bit
+        columns = kernels.InstanceApplier(inst)._factor[:, np.flatnonzero(mask)]
+        block = (columns.conj().T @ columns).toarray()
+        reference = np.linalg.eigvalsh(block)[0]
+        assert abs(qk.restricted_ground_energy(inst, fixed) - reference) <= 1e-12
+
+    def test_pins_are_checked_before_the_dense_cap(self):
+        inst = _singlet_chain(qk.config.DENSE_MAX_QUBITS + 1)
+        with pytest.raises(qk.ArgumentError, match="out of range"):
+            qk.restricted_ground_energy(inst, {inst.num_qubits: 0})
 
 
 class TestGroundStage:
