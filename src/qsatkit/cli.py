@@ -184,6 +184,7 @@ def cmd_reduce(args) -> int:
             "degree_ok": report.degree_ok,
             "base_energy": report.base_energy,
             "reduced_energy": report.reduced_energy,
+            "reduced_floor": report.reduced_floor,
             "penalty_constant": report.penalty_constant,
             "max_degree": report.max_degree,
             "degree_bound": report.degree_bound,
@@ -203,7 +204,8 @@ def cmd_reduce(args) -> int:
                 f"(max {report.max_degree} <= bound {report.degree_bound})",
                 f"  energy: {'ok' if report.energy_ok else 'FAILED'} "
                 f"(input {report.base_energy!r} [{report.base_method}], "
-                f"output {report.reduced_energy!r} [{report.reduced_method}])",
+                f"output {report.reduced_energy!r}, floor {report.reduced_floor!r} "
+                f"[{report.reduced_method}])",
                 f"  branch: {branch}",
             ]
         )

@@ -20,7 +20,8 @@ DEFAULT_MAX_QUBITS = 20
 DENSE_CUTOFF = 8
 
 # Largest register any dense routine accepts: forced method="dense",
-# assemble_dense, the null-space intersection and verify_reduction.
+# assemble_dense, the null-space intersection, and verify_reduction's input
+# and each connected component of its sector solves.
 # Computed, not run: at 13 qubits the 8192 x 8192 complex matrix is 1 GiB
 # and about 3 GiB with eigh's working copy; at 14 it would be 4 GiB plus a
 # copy, more than an 8 GiB machine holds.

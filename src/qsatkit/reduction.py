@@ -41,6 +41,10 @@ from .spectral import (
     INDETERMINATE,
     SATISFIABLE,
     UNSATISFIABLE,
+    _actions,
+    _components,
+    _pin,
+    _pinned_energy,
     decide_sat,
     operator_dominates,
     restricted_ground_energy,
@@ -121,12 +125,19 @@ class VerificationReport:
     energy_ok: bool
     degree_ok: bool
     base_energy: float
+    # The output's energy and a lower bound on its ground energy.  On the
+    # "sectors" route (see ``verify_reduction``) reduced_energy is the energy
+    # of the sector with every dummy at |0>, an upper bound, and
+    # reduced_floor <= lambda0 <= reduced_energy; otherwise both are the
+    # output's ``decide_sat`` energy.
     reduced_energy: float
+    reduced_floor: float
     penalty_constant: float
     max_degree: int
     degree_bound: int
-    # The route that gave each energy (``SatVerdict.method``): "nullspace"
-    # for a witness whose energy was checked, else "dense" or "krylov".
+    # The route that gave each energy: ``SatVerdict.method`` ("nullspace"
+    # for a witness whose energy was checked, else "dense" or "krylov"), or
+    # "sectors" for an output whose energy came from its dummies' Z-sectors.
     base_method: str
     reduced_method: str
 
@@ -453,20 +464,78 @@ def _z_commutes(term, qubit) -> bool:
     return bool(np.max(np.abs(off_block), initial=0.0) <= config.Z_COMMUTATION_TOL)
 
 
+def _sector_bounds(t, dummies):
+    """Bounds (a, floor) with floor <= lambda0(T) <= a, for an output whose
+    terms all commute with Z on every dummy, so that T is block diagonal
+    over the dummies' Z-sectors and lambda0(T) is the least sector energy.
+
+    a is the energy of the sector with every dummy at |0>.  A sector with
+    dummy d at |1> is at least b_d, the energy of a sub-sum of T pinned at
+    d = 1 (a sum of PSD terms is at least any sub-sum: Anderson, Phys. Rev.
+    83, 1260 (1951)): the terms on d whose pinned action is not zero, and
+    every term on no dummy that is connected to them.  In a built output
+    that is d's gadget copy, whose dummy-at-|1> energy the gadget's own
+    checks put at c_k or more; the terms on d alone can bound 0, as the
+    one Schmidt part of a product split term does.  So floor = min(a,
+    min_d b_d) takes 1 + d pinned solves, each split into connected
+    components (``spectral._pinned_energy``), for any number of sectors.
+    """
+    n, supports, actions = t.num_qubits, t.supports(), _actions(t.terms)
+    upper = _pinned_energy(
+        n, supports, actions, dict.fromkeys(dummies, 0),
+        "energy verification: the output's sector with every dummy at |0>",
+    )
+    on_dummy = {d: [] for d in sorted(dummies)}
+    no_dummy = []
+    for j, support in enumerate(supports):
+        touched = [q for q in support if q in on_dummy]
+        for d in touched:
+            on_dummy[d].append(j)
+        if not touched:
+            no_dummy.append(j)
+    components = [
+        [no_dummy[i] for i in group] for group in _components([supports[j] for j in no_dummy])
+    ]
+    component_of = {q: c for c, terms in enumerate(components) for j in terms for q in supports[j]}
+    floor = upper
+    for d, own in on_dummy.items():
+        pinned = _pin(n, [supports[j] for j in own], [actions[j] for j in own], {d: 1})[2]
+        own = [j for j, action in zip(own, pinned) if action.any()]
+        reached = sorted({component_of[q] for j in own for q in supports[j] if q in component_of})
+        sub = own + [j for c in reached for j in components[c]]
+        floor = min(floor, _pinned_energy(
+            n, [supports[j] for j in sub], [actions[j] for j in sub], {d: 1},
+            f"energy verification: the output's sub-sum around dummy {d} at |1>",
+        ))
+    return upper, floor
+
+
 def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationReport:
     """Numerically confirm the reduction's claims on a finished output.
 
     Checks: every term leaves each dummy in a Z eigenstate; the output's
     ground energy matches the input's below the penalty and stays above it
-    otherwise; the maximum degree respects the accounting bound.  The
-    spectral items need both instances within ``config.DENSE_MAX_QUBITS``.
+    otherwise; the maximum degree respects the accounting bound.
 
-    Both energies come from ``decide_sat``.  A satisfiable instance is
-    decided by a null-space witness with no eigensolver (``"nullspace"``):
-    its energy is an upper bound on the ground energy, within
-    ``sat_tolerance`` of 0.  Any other instance gets the ground energy of
-    the ``auto`` route, ``"dense"`` or ``"krylov"``, exactly as
-    ``ground_energy`` computes it.
+    The input's energy comes from ``decide_sat``: a satisfiable instance is
+    decided by a null-space witness with no eigensolver (``"nullspace"``),
+    whose energy is within ``sat_tolerance`` of 0; any other gets the
+    ground energy of the ``auto`` route, ``"dense"`` or ``"krylov"``.  The
+    input must be within ``config.DENSE_MAX_QUBITS``.
+
+    When the commutation check holds, the output's energy comes from its
+    dummies' Z-sectors (``"sectors"``, see ``_sector_bounds``): the energy
+    a of the sector with every dummy at |0> is ``reduced_energy`` and a
+    lower bound on every other sector is ``reduced_floor``, so
+    reduced_floor <= lambda0(T) <= reduced_energy.  Only each connected
+    component of a pinned solve must be within ``config.DENSE_MAX_QUBITS``,
+    not the output: figure-b's output at k = 15 has 211 qubits and
+    components of at most 3.  Below the penalty the energy check needs a
+    within ``REDUCTION_ENERGY_TOL`` of the input's energy and the floor no
+    lower; above it, the floor at the penalty.  An output that fails the
+    commutation check has no sectors: its energy comes from ``decide_sat``
+    as the input's does, with ``reduced_floor == reduced_energy``, and the
+    output must be within ``config.DENSE_MAX_QUBITS``.
     """
     t = out.t_instance
     dummies = {i for i, role in enumerate(out.role_map) if role == ROLE_DUMMY}
@@ -480,28 +549,42 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     delta_r = degree_profile(out.gadget.source.core.core).max_degree
     degree_bound = max(delta_q, delta_r + 1, 3)
     degree_ok = delta_t <= degree_bound
-    if max(q.num_qubits, t.num_qubits) > config.DENSE_MAX_QUBITS:
+    cap = config.DENSE_MAX_QUBITS
+    if q.num_qubits > cap:
         raise CapacityError(
-            f"energy verification needs at most {config.DENSE_MAX_QUBITS} qubits, "
-            f"got {t.num_qubits}"
+            f"energy verification needs an input of at most {cap} qubits; "
+            f"the input has {q.num_qubits}"
+        )
+    if not commutation_ok and t.num_qubits > cap:
+        raise CapacityError(
+            f"energy verification of an output whose terms do not commute with Z "
+            f"on every dummy needs at most {cap} qubits; the output has {t.num_qubits}"
         )
     base_verdict = decide_sat(q)
-    reduced_verdict = decide_sat(t)
-    base, reduced = base_verdict.lambda0, reduced_verdict.lambda0
-    penalty = out.penalty_constant
-    if base <= penalty:
-        energy_ok = abs(reduced - base) <= config.REDUCTION_ENERGY_TOL
+    base = base_verdict.lambda0
+    if commutation_ok:
+        reduced, floor = _sector_bounds(t, dummies)
+        reduced_method = "sectors"
     else:
-        energy_ok = reduced >= penalty - config.REDUCTION_ENERGY_TOL
+        reduced_verdict = decide_sat(t)
+        reduced = floor = reduced_verdict.lambda0
+        reduced_method = reduced_verdict.method
+    penalty = out.penalty_constant
+    tol = config.REDUCTION_ENERGY_TOL
+    if base <= penalty:
+        energy_ok = abs(reduced - base) <= tol and floor >= base - tol
+    else:
+        energy_ok = floor >= penalty - tol
     return VerificationReport(
         commutation_ok,
         energy_ok,
         degree_ok,
         base,
         reduced,
+        floor,
         penalty,
         delta_t,
         degree_bound,
         base_verdict.method,
-        reduced_verdict.method,
+        reduced_method,
     )

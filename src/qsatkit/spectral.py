@@ -35,10 +35,13 @@ one, and ``sample_ensemble`` decides its trials in stacks.  Every numeric
 layer reads a stack as ``(num_qubits, supports, actions)``, with the terms'
 own actions A (``QsatInstance.actions``; A^H A is the projector).  The
 gadget reduction's pinned-sector checks solve ``_pin``'s restriction on
-the free qubits only.  Every dense lowest eigenpair, including those and
-the dominance checks, comes from ``_dense_ground_pair``.
+the free qubits only, and its verification solves each connected
+component of a restriction on its own qubits (``_pinned_energy``).
+Every dense lowest eigenpair, including those and the dominance checks,
+comes from ``_dense_ground_pair``.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -675,14 +678,70 @@ def _pin(num_qubits, supports, actions, fixed):
     on no qubits with the one column A e_b, whose squared norm
     ``fiber_layout(n, ())`` adds to every diagonal entry.
     """
-    free = [q for q in range(num_qubits) if q not in fixed]
-    pinned_supports = [tuple(free.index(q) for q in s if q not in fixed) for s in supports]
+    # A free qubit's new label: its index less the pinned qubits below it.
+    pinned = sorted(fixed)
+    pinned_supports = [
+        tuple(q - bisect.bisect(pinned, q) for q in s if q not in fixed) for s in supports
+    ]
     pinned_actions = []
     for support, rest, action in zip(supports, pinned_supports, actions):
         grid = action.reshape(action.shape[:-1] + (2,) * len(support))
         bits = tuple(int(fixed[q]) if q in fixed else slice(None) for q in support)
         pinned_actions.append(grid[(...,) + bits].reshape(action.shape[:-1] + (1 << len(rest),)))
-    return len(free), pinned_supports, pinned_actions
+    return num_qubits - len(fixed), pinned_supports, pinned_actions
+
+
+def _components(supports) -> list:
+    """The connected components of a set of terms, as lists of term indices
+    in input order: two terms are connected when they share a qubit
+    (union-find over the qubits).  A term on no qubits is in none."""
+    parent = {}
+
+    def root(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    for support in supports:
+        for q in support:
+            parent.setdefault(q, q)
+        for q in support[1:]:
+            parent[root(q)] = root(support[0])
+    groups = {}
+    for j, support in enumerate(supports):
+        if support:
+            groups.setdefault(root(support[0]), []).append(j)
+    return list(groups.values())
+
+
+def _pinned_energy(num_qubits, supports, actions, fixed, what) -> float:
+    """The ground energy of a stack of one restricted as in ``_pin``, as
+    the sum over its connected components (``_components``), each solved
+    densely on its own qubits under ``_route``'s dense cap.  A term whose
+    pinned action is zero is left out, so it links no qubits; a term left
+    on no qubits adds ||A e_b||^2 and an idle qubit adds 0.  ``what`` names
+    the restriction when a component is over the cap."""
+    _, supports, actions = _pin(num_qubits, supports, actions, fixed)
+    kept = [j for j, action in enumerate(actions) if action.any()]
+    supports, actions = [supports[j] for j in kept], [actions[j] for j in kept]
+    energy = sum((float(np.vdot(a, a).real) for s, a in zip(supports, actions) if not s), 0.0)
+    for group in _components(supports):
+        qubits = sorted({q for j in group for q in supports[j]})
+        try:
+            _route(len(qubits), "dense")
+        except CapacityError as exc:
+            raise CapacityError(
+                f"{what} has a connected component of {len(qubits)} qubits: {exc}"
+            ) from None
+        local = {q: i for i, q in enumerate(qubits)}
+        energy += next(_ground_pairs(
+            len(qubits),
+            [tuple(local[q] for q in supports[j]) for j in group],
+            [actions[j] for j in group],
+            "dense",
+        ))[0]
+    return energy
 
 
 def restricted_ground_energy(instance: QsatInstance, fixed) -> float:

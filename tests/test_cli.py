@@ -297,15 +297,32 @@ class TestReduce:
         assert "satisfiable" in err
 
     def test_capacity_still_writes_the_construction(self, capsys, tmp_path):
-        out_path = tmp_path / "wide.json"
+        # Verification decides the input by decide_sat, up to 13 qubits.
+        wide_path = tmp_path / "wide.json"
+        qk.save_instance(wide_path, qk.QsatInstance(14, [qk.singlet_term(0, 13)]))
+        out_path = tmp_path / "wide.k3.json"
         code, _, err = run_cli(
-            capsys, "reduce", "builtin:figure-a", "--target-k", "3",
+            capsys, "reduce", str(wide_path), "--target-k", "3",
             "--out", str(out_path), "--verify",
         )
         assert code == 5
         assert out_path.exists()
-        assert qk.load_instance(out_path).num_qubits == 19
+        assert qk.load_instance(out_path).num_qubits == 14 + 1 + 3
         assert "error:" in err
+        assert "the input has 14" in err
+
+    @pytest.mark.parametrize("figure", ["figure-a", "figure-b"])
+    def test_paper_scale_outputs_are_verified(self, capsys, tmp_path, figure):
+        out_path = tmp_path / f"{figure}.k15.json"
+        code, out, _ = run_cli(
+            capsys, "reduce", f"builtin:{figure}", "--target-k", "15",
+            "--out", str(out_path), "--verify", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["num_qubits"] == 211
+        assert payload["verification"]["energy_ok"] is True
+        assert payload["verification"]["reduced_method"] == "sectors"
 
     def test_failed_verification_exits_three_and_still_writes(
         self, capsys, pair_file, tmp_path, monkeypatch
@@ -332,13 +349,16 @@ class TestReduce:
         verification = json.loads(out)["verification"]
         assert code == 0
         assert (verification["base_method"], verification["reduced_method"]) == (
-            "nullspace", "nullspace"
+            "nullspace", "sectors"
         )
+        assert verification["reduced_floor"] <= verification["reduced_energy"]
         _, out, _ = run_cli(
             capsys, "reduce", str(pair_file), "--target-k", "3", "--verify"
         )
         energy_line = next(line for line in out.splitlines() if "energy:" in line)
-        assert energy_line.count("[nullspace]") == 2
+        assert "[nullspace]" in energy_line
+        assert "[sectors]" in energy_line
+        assert f"floor {verification['reduced_floor']!r}" in energy_line
 
     def test_non_minimal_core_needs_opt_in(self, capsys, pair_file, tmp_path, figure_b):
         core_path = tmp_path / "fat-core.json"

@@ -461,8 +461,35 @@ class TestBuildReduction:
         out = qk.build_reduction(figure_a, 3, figure_b_core)
         assert out.t_instance.num_qubits == 3 + 4 * (1 + 3)
         assert out.t_instance.num_terms == 4 + 4 * 5
-        with pytest.raises(qk.CapacityError):
-            qk.verify_reduction(figure_a, out)
+        assert qk.verify_reduction(figure_a, out).ok
+        # Verification still caps the input, which decide_sat decides whole...
+        wide = qk.QsatInstance(14, [qk.singlet_term(0, 13)])
+        with pytest.raises(qk.CapacityError, match="the input has 14"):
+            qk.verify_reduction(wide, qk.build_reduction(wide, 3, figure_b_core))
+        # ...and an output with a dummy left in a superposition, which has no
+        # Z-sectors to split.
+        padded = out.t_instance.terms[0]
+        spread = np.kron(padded.amplitudes.reshape(-1, 2)[:, 0], np.ones(2) / np.sqrt(2))
+        tampered = with_terms(
+            out, [qk.RankOneTerm(padded.support, spread), *out.t_instance.terms[1:]]
+        )
+        with pytest.raises(qk.CapacityError, match="the output has 19"):
+            qk.verify_reduction(figure_a, tampered)
+
+
+def with_terms(out, terms):
+    """The output with its terms replaced, on the same register and roles."""
+    t = out.t_instance
+    return dataclasses.replace(out, t_instance=qk.QsatInstance(t.num_qubits, terms, t.promise_gap))
+
+
+def frustrated_qubit(lambda0, num_qubits=2, qubit=0, phase=0.0):
+    """|0><0| + |v><v| on one qubit, with ground energy 1 - |<0|v>|."""
+    overlap = 1.0 - lambda0
+    v = [overlap, np.sqrt(1.0 - overlap**2) * np.exp(1j * phase)]
+    return qk.QsatInstance(
+        num_qubits, [qk.basis_term((qubit,), "0"), qk.RankOneTerm((qubit,), v)]
+    )
 
 
 class TestVerifyReduction:
@@ -488,6 +515,10 @@ class TestVerifyReduction:
         report = qk.verify_reduction(q, tampered)
         assert not report.commutation_ok
         assert not report.ok
+        # No Z-sectors: the output's energy is decide_sat's, route and all.
+        assert report.reduced_method != "sectors"
+        assert report.reduced_method == qk.decide_sat(tampered.t_instance).method
+        assert report.reduced_floor == report.reduced_energy
 
     def test_detects_energy_mismatch(self, small_output):
         q, out = small_output
@@ -518,7 +549,8 @@ class TestVerifyReduction:
         assert not report.degree_ok
         assert report.commutation_ok
 
-    def test_satisfiable_output_needs_no_eigensolver(self, figure_b_core, monkeypatch):
+    def test_satisfiable_output_needs_only_small_dense_solves(self, figure_b_core,
+                                                              monkeypatch):
         rng = np.random.Generator(np.random.Philox(key=1310))
         q = qk.QsatInstance(3, [qk.haar_random_term(e, rng) for e in ((0, 1), (1, 2))])
         out = qk.build_reduction(q, 3, figure_b_core)
@@ -526,28 +558,108 @@ class TestVerifyReduction:
         assert t.num_qubits == 11
 
         def refuse(*_):
-            raise AssertionError("an eigensolver ran")
+            raise AssertionError("Lanczos ran")
 
-        monkeypatch.setattr(spectral, "_dense_ground_pair", refuse)
+        sizes = []
+        dense = spectral._dense_ground_pair
+
+        def counted(qmat):
+            sizes.append(len(qmat))
+            return dense(qmat)
+
+        monkeypatch.setattr(spectral, "_dense_ground_pair", counted)
         monkeypatch.setattr(spectral, "_krylov_ground_pair", refuse)
         report = qk.verify_reduction(q, out)
         assert report.ok
-        assert (report.base_method, report.reduced_method) == ("nullspace", "nullspace")
-        assert 0.0 <= report.reduced_energy <= spectral.sat_tolerance(t.num_terms)
+        assert (report.base_method, report.reduced_method) == ("nullspace", "sectors")
+        # Three 3-qubit components with every dummy at |0>, one gadget copy
+        # per dummy at |1>: no solve sees the 11-qubit register.
+        assert 0 < max(sizes) <= 8
+        assert abs(report.reduced_energy) <= spectral.sat_tolerance(t.num_terms)
 
     def test_unsatisfiable_output_keeps_the_spectral_energy(self, figure_b_core):
         # lambda0(q) = 1 - 0.9 = 0.1: above the unsatisfiability floor and
-        # below the penalty, so the 10-qubit output goes to Lanczos.
-        q = qk.QsatInstance(
-            2,
-            [qk.basis_term((0,), "0"), qk.RankOneTerm((0,), [0.9, np.sqrt(0.19)])],
-        )
+        # below the penalty, so the 10-qubit output's whole-register solve
+        # goes to Lanczos.
+        q = frustrated_qubit(0.1)
         out = qk.build_reduction(q, 2, figure_b_core)
         report = qk.verify_reduction(q, out)
-        assert report.reduced_method == "krylov"
-        assert report.reduced_energy == qk.ground_energy(out.t_instance).lambda0
+        assert report.reduced_method == "sectors"
+        full = qk.ground_energy(out.t_instance)
+        assert full.method == "krylov"
+        assert abs(report.reduced_energy - full.lambda0) <= 1e-10
+        assert report.reduced_floor == report.reduced_energy
         assert report.energy_ok
         assert abs(report.reduced_energy - 0.1) <= 1e-8
+
+    def test_detects_a_gadget_missing_a_schmidt_part(self, figure_b_core):
+        q = frustrated_qubit(0.1)
+        out = qk.build_reduction(q, 2, figure_b_core)
+        dummy = out.role_map.index(ROLE_DUMMY)
+        terms = list(out.t_instance.terms)
+        # The padded term comes first, then the gadget copy's split parts.
+        split = [j for j, term in enumerate(terms) if dummy in term.support][1:]
+        assert len(split) == 2
+        tampered = with_terms(out, terms[:split[-1]] + terms[split[-1] + 1:])
+        report = qk.verify_reduction(q, tampered)
+        assert report.commutation_ok
+        assert abs(report.reduced_energy - 0.1) <= 1e-8
+        assert report.reduced_floor < 0.1 - qk.config.REDUCTION_ENERGY_TOL
+        assert not report.energy_ok
+        # The whole output's ground energy, which a verdict on the whole
+        # register checks, misses 0.1 as well.
+        whole = qk.decide_sat(tampered.t_instance).lambda0
+        assert abs(whole - 0.1) > qk.config.REDUCTION_ENERGY_TOL
+
+    def test_product_split_gadget_keeps_its_floor(self):
+        # The split term |00> has one Schmidt part, |0> on the partner, so
+        # the terms on the dummy alone bound the dummy-at-|1> sectors by 0;
+        # with the rest of the gadget copy the bound is the penalty, 1.
+        core = qk.extract_minimal_core(qk.QsatInstance(2, [
+            qk.basis_term((0, 1), "00"),
+            qk.basis_term((0, 1), "01"),
+            qk.basis_term((0,), "1"),
+        ]))
+        q = frustrated_qubit(0.1)
+        out = qk.build_reduction(q, 2, core)
+        report = qk.verify_reduction(q, out)
+        assert report.ok
+        assert abs(report.reduced_energy - 0.1) <= 1e-8
+        assert report.reduced_floor == report.reduced_energy
+        q = frustrated_qubit(0.9)
+        report = qk.verify_reduction(q, qk.build_reduction(q, 2, core))
+        assert report.ok
+        assert abs(report.reduced_floor - 0.9) <= 1e-8
+
+    def test_cap_names_the_component_over_it(self, figure_a, figure_b_core):
+        out = qk.build_reduction(figure_a, 3, figure_b_core)
+        # A chain through every work and ancilla qubit touches no dummy, so
+        # the output keeps its Z-sectors, and one component holds all 15.
+        chain = [q for q, role in enumerate(out.role_map) if role != ROLE_DUMMY]
+        links = [qk.basis_term(pair, "00") for pair in zip(chain, chain[1:])]
+        tampered = with_terms(out, list(out.t_instance.terms) + links)
+        with pytest.raises(qk.CapacityError, match=r"every dummy at \|0>.*component of 15 qubits"):
+            qk.verify_reduction(figure_a, tampered)
+
+
+class TestPaperScale:
+    @pytest.mark.parametrize("target_k", [3, 15])
+    def test_figure_a_output_is_satisfiable(self, figure_a, figure_b_core, target_k):
+        out = qk.build_reduction(figure_a, target_k, figure_b_core)
+        report = qk.verify_reduction(figure_a, out)
+        assert report.ok
+        assert report.reduced_method == "sectors"
+        assert abs(report.reduced_energy) <= spectral.sat_tolerance(out.t_instance.num_terms)
+
+    @pytest.mark.parametrize("target_k", [3, 15])
+    def test_figure_b_output_keeps_the_penalty(self, figure_b, figure_b_core, target_k):
+        out = qk.build_reduction(figure_b, target_k, figure_b_core)
+        assert out.t_instance.num_qubits == {3: 19, 15: 211}[target_k]
+        report = qk.verify_reduction(figure_b, out)
+        assert report.ok
+        assert report.reduced_method == "sectors"
+        assert abs(report.reduced_energy - CORE_PENALTY) <= qk.config.REDUCTION_ENERGY_TOL
+        assert report.reduced_floor == report.reduced_energy
 
 
 @st.composite
@@ -573,3 +685,35 @@ class TestReductionProperties:
         assert report.commutation_ok
         assert report.degree_ok
         assert report.energy_ok
+        assert report.reduced_method == "sectors"
+        # Against the whole register: dense up to 8 qubits, Lanczos beyond.
+        full = qk.ground_energy(out.t_instance).lambda0
+        assert abs(report.reduced_energy - full) <= 1e-10
+
+    @given(
+        lambda0=st.one_of(
+            st.floats(qk.config.UNSAT_FLOOR, CORE_PENALTY, exclude_max=True),
+            st.floats(CORE_PENALTY, 1.0, exclude_min=True),
+        ),
+        num_qubits=st.integers(1, 2),
+        phase=st.floats(0.0, 2 * np.pi),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_frustrated_input_keeps_its_energy_or_the_penalty(
+        self, figure_b_core, lambda0, num_qubits, phase, data
+    ):
+        qubit = data.draw(st.integers(0, num_qubits - 1))
+        q = frustrated_qubit(lambda0, num_qubits, qubit, phase)
+        out = qk.build_reduction(q, 2, figure_b_core)
+        assert out.t_instance.num_qubits == num_qubits + 2 * (1 + 3)
+        report = qk.verify_reduction(q, out)
+        assert report.ok
+        assert report.reduced_method == "sectors"
+        assert abs(report.base_energy - lambda0) <= 1e-8
+        full = qk.ground_energy(out.t_instance).lambda0
+        assert abs(report.reduced_energy - full) <= 1e-10
+        if lambda0 <= CORE_PENALTY:
+            assert abs(report.reduced_energy - lambda0) <= qk.config.REDUCTION_ENERGY_TOL
+        else:
+            assert report.reduced_floor >= CORE_PENALTY - qk.config.REDUCTION_ENERGY_TOL

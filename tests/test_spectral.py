@@ -719,6 +719,21 @@ class TestRestrictedGroundEnergy:
         else:
             assert abs(pinned - masked) <= 1e-12
 
+    @given(pinned_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_components_sum_to_the_masked_ground_energy(self, case):
+        # Each connected component is solved on its own qubits; a term
+        # pinned on its whole support adds a constant, an idle qubit 0.
+        inst, fixed = case
+        split = spectral._pinned_energy(
+            inst.num_qubits, inst.supports(), _actions(inst.terms), fixed, "the case"
+        )
+        assert abs(split - _masked_ground_energy(inst, fixed)) <= 1e-12
+
+    def test_components_link_terms_that_share_a_qubit(self):
+        supports = [(0, 1), (2,), (1, 3), (), (4, 2), (5,)]
+        assert spectral._components(supports) == [[0, 2], [1, 4], [5]]
+
     def test_the_dense_cap_applies_to_the_free_qubits(self):
         # 15 qubits, 7 of them pinned: a dense solve on 8.  The reference
         # takes the pinned states' columns of the applier's factor B, whose
