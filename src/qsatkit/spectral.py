@@ -198,15 +198,18 @@ def _krylov_bytes(instance):
     (``kernels._applier_bytes``).  Those include the matvec's result, which
     the step turns into the next vector in place.  Besides it the recurrence
     holds the current and the previous vector, the Ritz vector is summed in
-    place, and drawing the start vector of either pass takes two and a half
-    vectors for a moment: at most three and a half vectors, within the six.
+    place, and drawing the start vector of a first pass or of its replay
+    takes two and a half vectors for a moment: at most three and a half
+    vectors.  A restarted pass draws none but holds its start vector: still
+    within the six.
     The tridiagonal's entries, two floats a step, are not counted."""
     n = instance.num_qubits
     return (16 * (_kept_vectors(n) + 6) << n) + kernels._applier_bytes(instance)
 
 
-def _lanczos(applier, dim, alphas=None, betas=None):
-    """The Lanczos recurrence on Q from ``_start_vector``: yields each
+def _lanczos(applier, dim, alphas=None, betas=None, start=None):
+    """The Lanczos recurrence on Q from ``start``, a unit vector left as it
+    is, or else from ``_start_vector``: yields each
     vector v_j with the tridiagonal's diagonal entry alpha_j and the
     coupling beta_j to v_{j+1}.  A caller stops at a zero beta, which the
     next step would divide by.
@@ -222,7 +225,7 @@ def _lanczos(applier, dim, alphas=None, betas=None):
     ``dznrm2``, ``zaxpy`` and ``zdscal`` (one OpenBLAS thread).
     """
     replay = alphas is not None
-    prev, vec = None, _start_vector(dim)
+    prev, vec = None, _start_vector(dim) if start is None else start
     for j in range(len(alphas)) if replay else itertools.count():
         w = applier(vec)
         alpha = alphas[j] if replay else _ZDOTC(vec, w).real
@@ -242,17 +245,16 @@ def _krylov_ground_pair(instance):
     No basis is kept and the vectors are not reorthogonalized: lost
     orthogonality adds copies of converged Ritz values but leaves the lowest
     one correct (Paige, J. Inst. Math. Appl. 18, 1976; Cullum and
-    Willoughby, 1985).  Every ``_RITZ_CHECK`` steps the lowest pair
-    (theta, y) of the tridiagonal is computed, and the iteration stops when
-    its residual beta |y_last| is at most KRYLOV_TOL * m.  A beta within
-    that bound marks an invariant subspace; it is checked at once and meets
-    the same test.  The Ritz vector is the sum over the steps, in step
-    order, of y_j v_j.  The first pass copies each vector into row j % keep
-    of one preallocated ring of ``_kept_vectors`` rows, so the latest keep
-    vectors are at hand; a second pass replays the recurrence for the older
-    steps only, and is skipped when there are none.  The ring holds 2,048
-    vectors at n = 10 and 8 at n = 18.  The sum is the same, bit for bit,
-    at any keep.  After 10 * 2^n steps it raises ConvergenceError with the
+    Willoughby, 1985).  A pass (``_ritz_pass``) stops when the lowest Ritz
+    pair's estimated residual is at most KRYLOV_TOL * m.  The estimate
+    assumes orthonormal vectors; once a degenerate lowest level has several
+    copies in the tridiagonal, the Ritz vector can cancel to a small fraction
+    of unit norm before it is normalized, and its true residual exceed the
+    estimate a hundredfold.  A pair whose true residual exceeds
+    ``config.RESIDUAL_TOL`` therefore restarts the recurrence from its Ritz
+    vector, until a pair meets that bound or the 10 * 2^n steps, counted
+    over all passes, run out; the pair of the last pass is returned.  A pass
+    that does not converge within them raises ConvergenceError with its
     lowest Ritz pair.  Before anything is allocated, an iteration that would
     need more bytes than the machine's physical memory raises CapacityError.
     """
@@ -268,44 +270,71 @@ def _krylov_ground_pair(instance):
     tol = config.KRYLOV_TOL * instance.num_terms
     # One array rather than a deque of the step vectors: its pages are
     # touched only as rows are written, and it leaves no small blocks behind.
-    keep = _kept_vectors(n)
-    kept = np.empty((keep, dim), dtype=np.complex128)
+    kept = np.empty((_kept_vectors(n), dim), dtype=np.complex128)
+    start, budget = None, 10 * dim
+    while True:
+        lam, vec, steps, converged = _ritz_pass(applier, dim, kept, tol, budget, start)
+        budget -= steps
+        if not converged:
+            raise ConvergenceError(
+                f"Lanczos iteration did not converge in {10 * dim - budget} steps",
+                best_lambda0=lam,
+                best_vector=vec,
+            )
+        image = applier(vec)
+        _ZAXPY(vec, image, a=-lam)
+        residual = _DZNRM2(image)
+        if residual <= config.RESIDUAL_TOL or not budget:
+            return lam, vec, residual
+        start = vec
+
+
+def _ritz_pass(applier, dim, kept, tol, budget, start):
+    """One pass of ``_krylov_ground_pair``: the lowest Ritz pair
+    ``(theta, vector)`` of a Lanczos recurrence from ``start`` (None: from
+    ``_start_vector``), the steps it took and whether it converged.
+
+    Every ``_RITZ_CHECK`` steps the lowest pair (theta, y) of the
+    tridiagonal is computed, and the pass stops when its residual estimate
+    beta |y_last| is at most ``tol``, or after ``budget`` steps.  A beta
+    within that bound marks an invariant subspace; it is checked at once and
+    meets the same test.  The Ritz vector is the sum over the steps, in step
+    order, of y_j v_j, normalized.  The pass copies each vector into row
+    j % keep of the preallocated ring ``kept`` of keep rows, so the latest
+    keep vectors are at hand; a second pass replays the recurrence for the
+    older steps only, and is skipped when there are none.  The ring holds
+    2,048 vectors at n = 10 and 8 at n = 18.  The sum is the same, bit for
+    bit, at any keep.
+    """
+    keep = len(kept)
     alphas, betas = [], []
-    for vec, alpha, beta in _lanczos(applier, dim):
+    for vec, alpha, beta in _lanczos(applier, dim, start=start):
         if keep:
             kept[len(alphas) % keep] = vec
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
-        if steps % _RITZ_CHECK and beta > tol and steps < 10 * dim:
+        if steps % _RITZ_CHECK and beta > tol and steps < budget:
             continue
         theta, ritz = scipy.linalg.eigh_tridiagonal(
             alphas, betas[:-1], select="i", select_range=(0, 0)
         )
         converged = beta * abs(ritz[-1, 0]) <= tol
-        if converged or steps == 10 * dim:
+        if converged or steps == budget:
             break
-    # Rebinding vec drops the first pass's last vector before the replay.
+    # Rebinding vec drops the pass's last vector before the replay.
     vec = np.zeros(dim, dtype=np.complex128)
     replayed = max(steps - keep, 0)
     if replayed:
         for y, (v, _, _) in zip(
-            ritz[:replayed, 0], _lanczos(applier, dim, alphas[:replayed], betas[:replayed])
+            ritz[:replayed, 0],
+            _lanczos(applier, dim, alphas[:replayed], betas[:replayed], start=start),
         ):
             _ZAXPY(v, vec, a=y)
     for j in range(replayed, steps):
         _ZAXPY(kept[j % keep], vec, a=ritz[j, 0])
     _ZDSCAL(1.0 / _DZNRM2(vec), vec, overwrite_x=1)
-    lam = float(theta[0])
-    if not converged:
-        raise ConvergenceError(
-            f"Lanczos iteration did not converge in {steps} steps",
-            best_lambda0=lam,
-            best_vector=vec,
-        )
-    image = applier(vec)
-    _ZAXPY(vec, image, a=-lam)
-    return lam, vec, _DZNRM2(image)
+    return float(theta[0]), vec, steps, converged
 
 
 def _route(n, method):

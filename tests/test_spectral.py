@@ -307,9 +307,9 @@ class TestGroundEnergy:
             matvecs.append(1)
             return apply(self, state)
 
-        def counted_lanczos(applier, dim, alphas=None, betas=None):
+        def counted_lanczos(applier, dim, alphas=None, betas=None, start=None):
             passes.append(0)
-            for item in lanczos(applier, dim, alphas, betas):
+            for item in lanczos(applier, dim, alphas, betas, start):
                 passes[-1] += 1
                 yield item
 
@@ -357,6 +357,29 @@ class TestGroundEnergy:
         assert krylov.method == "krylov"
         assert abs(krylov.lambda0 - oracle_lambda0(inst)) <= 1e-12
         assert krylov.residual <= qk.config.RESIDUAL_TOL
+
+    def test_krylov_restarts_when_the_ritz_vector_cancels(self, monkeypatch, figure_b_core):
+        # A frustrated qubit reduced through figure-b's core: 9 qubits, 12
+        # terms, a 4-fold lowest level at 1.0e-3.  The first pass meets its
+        # estimate at 100 steps, but the copies of that level in the
+        # tridiagonal cancel the Ritz vector to a norm near 0.02 and its true
+        # residual is 1.0e-8; the pass restarted from it meets RESIDUAL_TOL.
+        v = [1.0 - 0.0010089236585973825, 0.0]
+        v[1] = np.sqrt(1.0 - v[0] ** 2) * np.exp(1j)
+        q = qk.QsatInstance(1, [qk.basis_term((0,), "0"), qk.RankOneTerm((0,), v)])
+        inst = qk.build_reduction(q, 2, figure_b_core).t_instance
+        passes, ritz_pass = [], spectral._ritz_pass
+
+        def counted_pass(*args):
+            passes.append(args[-1] is None)
+            return ritz_pass(*args)
+
+        monkeypatch.setattr(spectral, "_ritz_pass", counted_pass)
+        lam, vec, residual = spectral._krylov_ground_pair(inst)
+        assert passes == [True, False]
+        assert residual <= qk.config.RESIDUAL_TOL
+        assert abs(lam - qk.ground_energy(inst, method="dense").lambda0) <= 1e-12
+        assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_krylov_on_a_degenerate_near_frustration_free_instance(self):
         # k = 3, m = n = 10: a 24-dimensional null space, next eigenvalue 2.0e-4.
