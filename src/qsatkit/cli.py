@@ -8,9 +8,15 @@ exceeds capacity, such as a Lanczos iteration larger than physical memory
 (after a requested verification the construction file is still written), 6
 an internal error (any other exception, such as a LAPACK routine that did
 not converge).
+
+``main(argv)`` returns the exit code instead of exiting, and can be called
+repeatedly in one process: each call parses its own arguments and shares
+no state with the calls before it.  The parser is built on the first call
+and kept for the life of the process, not at import.
 """
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -276,7 +282,12 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qsat`` parser, built on the first call; later calls return the
+    same object.  A subcommand's handler is not bound here: ``main`` looks
+    up ``cmd_<command>`` when it dispatches, so a replaced handler is the
+    one that runs."""
     parser = _Parser(
         prog="qsat",
         description="Decide, analyze, transform, and sample local-projector instances.",
@@ -291,12 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         "method nullspace); dense and krylov force a ground-energy route",
     )
     solve.add_argument("--json", action="store_true", help="machine-readable output")
-    solve.set_defaults(func=cmd_solve)
 
     analyze = sub.add_parser("analyze", help="degree/locality/structure report")
     analyze.add_argument("path", help="instance file or builtin:<name>")
     analyze.add_argument("--json", action="store_true")
-    analyze.set_defaults(func=cmd_analyze)
 
     reduce_cmd = sub.add_parser(
         "reduce", help="raise an instance's locality with enforcing gadgets"
@@ -321,12 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(small sizes only; exit 3 when a check fails)",
     )
     reduce_cmd.add_argument("--json", action="store_true")
-    reduce_cmd.set_defaults(func=cmd_reduce)
 
     bounds_cmd = sub.add_parser("bounds", help="occurrence-bound table at locality k")
     bounds_cmd.add_argument("k", type=int)
     bounds_cmd.add_argument("--json", action="store_true")
-    bounds_cmd.set_defaults(func=cmd_bounds)
 
     sample = sub.add_parser(
         "sample", help="tally verdicts over a Haar-sampled structure"
@@ -344,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"ensemble seed (default {DEFAULT_SAMPLE_SEED}, always reported)",
     )
     sample.add_argument("--json", action="store_true")
-    sample.set_defaults(func=cmd_sample)
 
     return parser
 
@@ -353,10 +359,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "func", None):
+        if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -58,66 +58,74 @@ def serialize_instance(instance: QsatInstance) -> str:
     return json.dumps(instance_to_document(instance), indent=2) + "\n"
 
 
-def _require(condition, message, source):
+def _require(condition, source, message, *args):
+    """Raise ParseError at ``source`` unless ``condition`` holds.  The
+    message is ``message.format(*args)``, built only when it is raised."""
     if not condition:
-        raise ParseError(message, location=source)
+        raise ParseError(message.format(*args), location=source)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_int(value, field, source):
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{field} must be an integer, got {value!r}", source)
+    _require(_is_int(value), source, "{} must be an integer, got {!r}", field, value)
     return value
 
 
 def _as_number(value, field, source):
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{field} must be a number, got {value!r}",
-        source,
-    )
+    _require(_is_number(value), source, "{} must be a number, got {!r}", field, value)
     return float(value)
 
 
+def _amplitude_error(field, j, pair, source) -> ParseError:
+    """The error for amplitude entry j, which is not a pair of numbers."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        return ParseError(f"{field}.amplitudes[{j}] must be a [re, im] pair", location=source)
+    part = 1 if _is_number(pair[0]) else 0
+    return ParseError(
+        f"{field}.amplitudes[{j}][{part}] must be a number, got {pair[part]!r}",
+        location=source,
+    )
+
+
 def document_to_instance(document, source="<document>") -> QsatInstance:
-    _require(isinstance(document, dict), "top level must be an object", source)
+    _require(isinstance(document, dict), source, "top level must be an object")
     version = _as_int(document.get("format_version"), "format_version", source)
     _require(
-        version == FORMAT_VERSION,
-        f"unsupported format_version {version} (current: {FORMAT_VERSION})",
-        source,
+        version == FORMAT_VERSION, source,
+        "unsupported format_version {} (current: {})", version, FORMAT_VERSION,
     )
     num_qubits = _as_int(document.get("num_qubits"), "num_qubits", source)
     epsilon = _as_number(document.get("epsilon"), "epsilon", source)
     projectors = document.get("projectors")
-    _require(isinstance(projectors, list), "projectors must be a list", source)
+    _require(isinstance(projectors, list), source, "projectors must be a list")
     terms = []
     for i, entry in enumerate(projectors):
-        field = f"projectors[{i}]"
-        _require(isinstance(entry, dict), f"{field} must be an object", source)
+        _require(isinstance(entry, dict), source, "projectors[{}] must be an object", i)
         qubits = entry.get("qubits")
         _require(
-            isinstance(qubits, list) and qubits
-            and all(isinstance(q, int) and not isinstance(q, bool) for q in qubits),
-            f"{field}.qubits must be a non-empty list of integers",
-            source,
+            isinstance(qubits, list) and qubits and all(map(_is_int, qubits)), source,
+            "projectors[{}].qubits must be a non-empty list of integers", i,
         )
         amplitudes = entry.get("amplitudes")
-        _require(isinstance(amplitudes, list), f"{field}.amplitudes must be a list", source)
+        _require(isinstance(amplitudes, list), source, "projectors[{}].amplitudes must be a list", i)
         _require(
-            len(amplitudes) == 1 << len(qubits),
-            f"{field}.amplitudes must have length {1 << len(qubits)}, got {len(amplitudes)}",
-            source,
+            len(amplitudes) == 1 << len(qubits), source,
+            "projectors[{}].amplitudes must have length {}, got {}",
+            i, 1 << len(qubits), len(amplitudes),
         )
         values = np.empty(len(amplitudes), dtype=np.complex128)
         for j, pair in enumerate(amplitudes):
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{field}.amplitudes[{j}] must be a [re, im] pair",
-                source,
-            )
-            re = _as_number(pair[0], f"{field}.amplitudes[{j}][0]", source)
-            im = _as_number(pair[1], f"{field}.amplitudes[{j}][1]", source)
-            values[j] = complex(re, im)
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and _is_number(pair[0]) and _is_number(pair[1])):
+                raise _amplitude_error(f"projectors[{i}]", j, pair, source)
+            values[j] = complex(float(pair[0]), float(pair[1]))
         terms.append(RankOneTerm(tuple(qubits), values))
     return QsatInstance(num_qubits, terms, epsilon)
 

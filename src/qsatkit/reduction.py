@@ -478,12 +478,14 @@ def _sector_bounds(t, dummies):
     checks put at c_k or more; the terms on d alone can bound 0, as the
     one Schmidt part of a product split term does.  So floor = min(a,
     min_d b_d) takes 1 + d pinned solves, each split into connected
-    components (``spectral._pinned_energy``), for any number of sectors.
+    components (``spectral._pinned_energy``), for any number of sectors;
+    the gadget copies' equal components share one dense solve.
     """
     n, supports, actions = t.num_qubits, t.supports(), _actions(t.terms)
+    solved = {}
     upper = _pinned_energy(
         n, supports, actions, dict.fromkeys(dummies, 0),
-        "energy verification: the output's sector with every dummy at |0>",
+        "energy verification: the output's sector with every dummy at |0>", solved,
     )
     on_dummy = {d: [] for d in sorted(dummies)}
     no_dummy = []
@@ -505,7 +507,7 @@ def _sector_bounds(t, dummies):
         sub = own + [j for c in reached for j in components[c]]
         floor = min(floor, _pinned_energy(
             n, [supports[j] for j in sub], [actions[j] for j in sub], {d: 1},
-            f"energy verification: the output's sub-sum around dummy {d} at |1>",
+            f"energy verification: the output's sub-sum around dummy {d} at |1>", solved,
         ))
     return upper, floor
 

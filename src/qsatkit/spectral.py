@@ -35,8 +35,8 @@ one, and ``sample_ensemble`` decides its trials in stacks.  Every numeric
 layer reads a stack as ``(num_qubits, supports, actions)``, with the terms'
 own actions A (``QsatInstance.actions``; A^H A is the projector).  The
 gadget reduction's pinned-sector checks solve ``_pin``'s restriction on
-the free qubits only, and its verification solves each connected
-component of a restriction on its own qubits (``_pinned_energy``).
+the free qubits only, and its verification solves each distinct connected
+component of a restriction once, on its own qubits (``_pinned_energy``).
 Every dense lowest eigenpair, including those and the dominance checks,
 comes from ``_dense_ground_pair``.
 """
@@ -744,13 +744,19 @@ def _components(supports) -> list:
     return list(groups.values())
 
 
-def _pinned_energy(num_qubits, supports, actions, fixed, what) -> float:
+def _pinned_energy(num_qubits, supports, actions, fixed, what, solved=None) -> float:
     """The ground energy of a stack of one restricted as in ``_pin``, as
     the sum over its connected components (``_components``), each solved
     densely on its own qubits under ``_route``'s dense cap.  A term whose
     pinned action is zero is left out, so it links no qubits; a term left
     on no qubits adds ||A e_b||^2 and an idle qubit adds 0.  ``what`` names
-    the restriction when a component is over the cap."""
+    the restriction when a component is over the cap.
+
+    ``solved`` maps a component, as its qubit count, relabelled supports
+    and action shapes and bytes, to its energy; a component found there is
+    not solved again, so the equal gadget copies of a reduction's output
+    share one solve across calls that pass the same dict."""
+    solved = {} if solved is None else solved
     _, supports, actions = _pin(num_qubits, supports, actions, fixed)
     kept = [j for j, action in enumerate(actions) if action.any()]
     supports, actions = [supports[j] for j in kept], [actions[j] for j in kept]
@@ -764,12 +770,16 @@ def _pinned_energy(num_qubits, supports, actions, fixed, what) -> float:
                 f"{what} has a connected component of {len(qubits)} qubits: {exc}"
             ) from None
         local = {q: i for i, q in enumerate(qubits)}
-        energy += next(_ground_pairs(
+        group_supports = [tuple(local[q] for q in supports[j]) for j in group]
+        group_actions = [actions[j] for j in group]
+        key = (
             len(qubits),
-            [tuple(local[q] for q in supports[j]) for j in group],
-            [actions[j] for j in group],
-            "dense",
-        ))[0]
+            tuple(group_supports),
+            tuple((a.shape, a.tobytes()) for a in group_actions),
+        )
+        if key not in solved:
+            solved[key] = next(_ground_pairs(len(qubits), group_supports, group_actions, "dense"))[0]
+        energy += solved[key]
     return energy
 
 

@@ -534,3 +534,56 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "803" in proc.stdout
+
+
+class TestRepeatedCalls:
+    """main(argv) called again and again in one process, as the benchmark
+    and library users do: the parser is built once and no call leaks state
+    into the next."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("name, forced, route, exit_code", [
+        ("figure-b", "dense", "dense", 1),
+        ("figure-b", "krylov", "dense", 1),
+        ("figure-a", "dense", "nullspace", 0),
+    ])
+    def test_a_forced_method_does_not_stick(self, capsys, name, forced, route, exit_code):
+        # The call after a forced route reports the route auto takes.
+        code, out, _ = run_cli(capsys, "solve", f"builtin:{name}", "--method", forced, "--json")
+        assert (code, json.loads(out)["method"]) == (exit_code, forced)
+        code, out, _ = run_cli(capsys, "solve", f"builtin:{name}", "--json")
+        assert (code, json.loads(out)["method"]) == (exit_code, route)
+
+    def test_a_given_seed_does_not_stick(self, capsys):
+        argv = ("sample", "--structure", "builtin:triangle-double", "--trials", "2")
+        code, out, _ = run_cli(capsys, *argv, "--seed", "5")
+        assert code == 0 and "seed: 5" in out.splitlines()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "seed: 101" in out.splitlines()
+
+    def test_a_usage_error_leaves_the_next_call_as_a_fresh_one(self, capsys):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qsatkit.cli", "solve", "builtin:figure-b"],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-b", "--method", "magic")
+        assert code == 3 and out == "" and "invalid choice" in err
+        code, out, err = run_cli(capsys, "solve", "builtin:figure-b")
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 1
+
+    def test_dispatch_finds_the_handler_at_call_time(self, capsys, monkeypatch):
+        cli.build_parser()
+        seen = []
+
+        def handler(args):
+            seen.append(args.path)
+            return 42
+
+        monkeypatch.setattr(cli, "cmd_solve", handler)
+        code, _, _ = run_cli(capsys, "solve", "builtin:figure-a")
+        assert (code, seen) == (42, ["builtin:figure-a"])

@@ -132,6 +132,42 @@ class TestParseErrors:
         with pytest.raises(qk.ParseError):
             qio.document_to_instance(doc)
 
+    @pytest.mark.parametrize("defect, message", [
+        (lambda d: d["projectors"][1]["amplitudes"].__setitem__(2, ["0.0", 0.0]),
+         "case.json: projectors[1].amplitudes[2][0] must be a number, got '0.0'"),
+        (lambda d: d["projectors"][0]["amplitudes"].__setitem__(3, [0.0, True]),
+         "case.json: projectors[0].amplitudes[3][1] must be a number, got True"),
+        (lambda d: d["projectors"][1]["amplitudes"].__setitem__(0, [0.0, 0.0, 0.0]),
+         "case.json: projectors[1].amplitudes[0] must be a [re, im] pair"),
+        (lambda d: d["projectors"][1].__setitem__("qubits", [1, 2.0]),
+         "case.json: projectors[1].qubits must be a non-empty list of integers"),
+        (lambda d: d["projectors"][0]["amplitudes"].pop(),
+         "case.json: projectors[0].amplitudes must have length 4, got 3"),
+    ], ids=["string-real-part", "true-imaginary-part", "three-element-pair",
+            "non-integer-qubit", "wrong-length"])
+    def test_messages_name_the_entry(self, figure_a, defect, message):
+        # Messages are built only when they are raised; each still names
+        # the projector, the entry and the offending value.
+        doc = document_of(figure_a)
+        defect(doc)
+        with pytest.raises(qk.ParseError) as exc:
+            qio.document_to_instance(doc, source="case.json")
+        assert str(exc.value) == message
+
+    def test_nan_amplitude_is_a_validation_error(self, figure_a, tmp_path):
+        doc = document_of(figure_a)
+        doc["projectors"][1]["amplitudes"][3] = [math.nan, 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["solve", str(path)])
+        assert code == cli.EXIT_USAGE == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines() == [
+            "error: invalid instance: term 1: amplitudes contain non-finite values"
+        ]
+
     def test_unknown_top_level_keys_are_tolerated(self, figure_a):
         doc = document_of(figure_a)
         doc["comment"] = "hand-annotated"

@@ -753,6 +753,34 @@ class TestRestrictedGroundEnergy:
         )
         assert abs(split - _masked_ground_energy(inst, fixed)) <= 1e-12
 
+    def test_equal_components_share_one_solve(self, monkeypatch):
+        # Two copies of one 3-qubit block share a solve.  A block on the same
+        # supports with other amplitudes gets its own, and every energy is
+        # the one solved without sharing.
+        rng = np.random.Generator(np.random.Philox(key=23))
+
+        def block():
+            amplitudes = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+            return [qk.RankOneTerm(s, a / np.linalg.norm(a))
+                    for s, a in zip(((0, 1), (1, 2), (0, 2)), amplitudes)]
+
+        def placed(*blocks):
+            supports = [tuple(3 * i + q for q in t.support)
+                        for i, b in enumerate(blocks) for t in b]
+            return 3 * len(blocks), supports, _actions([t for b in blocks for t in b])
+
+        first, second = block(), block()
+        ground_pairs, calls = spectral._ground_pairs, []
+        monkeypatch.setattr(spectral, "_ground_pairs",
+                            lambda *a: calls.append(a[0]) or ground_pairs(*a))
+        solved = {}
+        twice = spectral._pinned_energy(*placed(first, first), {}, "twice", solved)
+        assert len(calls) == 1
+        mixed = spectral._pinned_energy(*placed(second, first), {}, "mixed", solved)
+        assert len(calls) == 2
+        assert twice == 2 * spectral._pinned_energy(*placed(first), {}, "first")
+        assert mixed == spectral._pinned_energy(*placed(second, first), {}, "unshared")
+
     def test_components_link_terms_that_share_a_qubit(self):
         supports = [(0, 1), (2,), (1, 3), (), (4, 2), (5,)]
         assert spectral._components(supports) == [[0, 2], [1, 4], [5]]
