@@ -8,16 +8,17 @@ DEFAULT_MAX_QUBITS = 20
 
 # Largest instance that method="auto" (ground_energy, decide_sat)
 # solves by dense eigendecomposition; beyond it the matrix-free Krylov path
-# takes over.  Measured crossover: forced dense against forced Krylov
-# ground_energy, median of 5 calls, on unsatisfiable qsatbench-style
-# instances (Haar k = 2 and k = 3, and frustrated; m = n to 2n; 4 seeds
-# each), one OpenBLAS thread, 2-core x86 host.  At n = 9 (11 instances)
-# Krylov took 0.10-0.58x the dense time, median 0.23x, 5.3-28 ms against
-# 44-68 ms.  At n = 8 (10 instances) the routes tie: 0.47-1.96x, median
-# 0.81x, 79 ms against 85 ms in all.  From n = 8 to 9 the median dense
-# solve grew 6x and the median Krylov one 1.4x, so Krylov wins by more
-# from n = 10 on.
-DENSE_CUTOFF = 8
+# takes over.  It is the largest n at which the dense route's summed time
+# beats Krylov's in BENCH_routes.json, written by benchmarks/bench_routes.py:
+# forced dense against forced Krylov ground_energy, median of 3 alternating
+# calls, on 96 instances per n (Haar, planted and frustrated; k = 2 and 3;
+# m = n/2 to 2n; 4 seeds each), one OpenBLAS thread, 2-core x86 host.
+# Krylov took a median 1.45x the dense time at n = 7 (0.37-2.99x; 396 ms
+# against 268 ms in all), 0.51x at n = 8 (0.15-1.89x; 666 against
+# 1,172 ms) and 0.14x at n = 9.  Unsatisfiable instances alone, which
+# decide_sat hands to this route, give the same order: 1.44x at n = 7 and
+# 0.53x at n = 8 (0.26-0.98x).
+DENSE_CUTOFF = 7
 
 # Largest register any dense routine accepts: forced method="dense",
 # assemble_dense, the null-space intersection, and verify_reduction's input

@@ -12,20 +12,26 @@ independent of evaluation order.  A trial draws all its terms with one
 
 The structure is validated once, before anything is drawn, and the trials
 are decided by ``spectral._decide``, the pipeline ``decide_sat`` runs on a
-stack of one, in stacks of 4^max(0, ``config.DENSE_CUTOFF`` - n) trials.  Up
-to the cutoff a stack's dense operators never exceed the 4^``DENSE_CUTOFF``
-complex entries of the one operator ``auto`` builds at the cutoff, so memory
-does not grow with the trial count; above it, every trial is a stack of one.
+stack of one, in stacks of as many trials as ``STACK_BYTES`` of 2^n x 2^n
+complex operators hold: 4^(8 - n) trials up to 8 qubits, and one beyond.
+The bound does not follow ``config.DENSE_CUTOFF``, and memory does not grow
+with the trial count.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import ArgumentError
 from .instance import QsatInstance, RankOneTerm
 from .spectral import INDETERMINATE, SATISFIABLE, UNSATISFIABLE, _decide, _route
+
+# Bytes of dense operators one stack of trials holds: 1 MiB, a stack of 1,024
+# on a 3-qubit structure.  Smaller stacks cost more per trial: a 500-trial
+# triangle-double sample took 22.0-24.4 ms in stacks of 256, against
+# 21.4-22.9 ms in stacks of 1,024 (median of 9 calls, 8 alternating runs,
+# one OpenBLAS thread).
+STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ def sample_ensemble(num_qubits, supports, trials, seed) -> EnsembleResult:
     QsatInstance(num_qubits, [RankOneTerm(s, np.eye(1, d)[0]) for s, d in zip(supports, dims)])
     _route(num_qubits, "auto")
     # A structure with no terms has no stack axis: one trial at a time.
-    chunk = 4 ** max(0, config.DENSE_CUTOFF - num_qubits) if supports else 1
+    chunk = max(1, STACK_BYTES // (16 << 2 * num_qubits)) if supports else 1
     counts = {SATISFIABLE: 0, UNSATISFIABLE: 0, INDETERMINATE: 0}
     for start in range(0, trials, chunk):
         states = _draw(seed, range(start, min(trials, start + chunk)), dims)

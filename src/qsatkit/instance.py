@@ -305,7 +305,7 @@ def _term_violations(term, num_qubits, max_support):
         else:
             norm = np.linalg.norm(term.amplitudes)
             if abs(norm - 1.0) > config.NORM_TOL:
-                msgs.append(f"amplitudes norm {norm!r} not within {config.NORM_TOL} of 1")
+                msgs.append(f"amplitudes norm {float(norm)!r} not within {config.NORM_TOL} of 1")
     elif isinstance(term, GeneralTerm):
         if term.matrix.shape != (dim, dim):
             msgs.append(f"matrix must be {dim}x{dim}, got {term.matrix.shape}")

@@ -80,7 +80,15 @@ def _as_int(value, field, source):
 
 def _as_number(value, field, source):
     _require(_is_number(value), source, "{} must be a number, got {!r}", field, value)
-    return float(value)
+    return _as_float(value, field, source)
+
+
+def _as_float(value, field, source) -> float:
+    """``float(value)``; a JSON integer beyond float range raises ParseError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{field} is an integer too large for a float", location=source) from None
 
 
 def _amplitude_error(field, j, pair, source) -> ParseError:
@@ -125,7 +133,11 @@ def document_to_instance(document, source="<document>") -> QsatInstance:
             if not (isinstance(pair, list) and len(pair) == 2
                     and _is_number(pair[0]) and _is_number(pair[1])):
                 raise _amplitude_error(f"projectors[{i}]", j, pair, source)
-            values[j] = complex(float(pair[0]), float(pair[1]))
+            try:
+                values[j] = complex(float(pair[0]), float(pair[1]))
+            except OverflowError:
+                for part, value in enumerate(pair):
+                    _as_float(value, f"projectors[{i}].amplitudes[{j}][{part}]", source)
         terms.append(RankOneTerm(tuple(qubits), values))
     return QsatInstance(num_qubits, terms, epsilon)
 
@@ -137,6 +149,10 @@ def parse_instance(text: str, source="<string>") -> QsatInstance:
         raise ParseError(
             f"invalid JSON: {exc.msg}", location=f"{source}:{exc.lineno}:{exc.colno}"
         ) from exc
+    except ValueError as exc:
+        # An integer literal past Python's digit limit for int() (4,300 by
+        # default) fails in the decoder without a position.
+        raise ParseError(f"invalid JSON: {exc}", location=source) from exc
     return document_to_instance(document, source=source)
 
 

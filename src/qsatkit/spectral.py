@@ -23,8 +23,10 @@ satisfiable instance needs no eigensolver (an n = 15 planted verdict took
 about 40 ms against seconds of Lanczos).  Otherwise it cross-checks the
 spectral verdict.
 
-``method="auto"`` takes the dense route up to ``config.DENSE_CUTOFF`` qubits
-and Krylov beyond; no dense routine accepts more than
+``method="auto"`` takes the dense route up to ``config.DENSE_CUTOFF`` = 7
+qubits and Krylov beyond: in ``BENCH_routes.json`` (written by
+``benchmarks/bench_routes.py``) Krylov took a median 1.45x the dense time
+at n = 7 and 0.51x at n = 8.  No dense routine accepts more than
 ``config.DENSE_MAX_QUBITS`` qubits.
 
 ``_ground_pairs`` is the one ground-state stage: ``ground_energy`` takes its

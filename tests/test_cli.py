@@ -107,6 +107,26 @@ class TestSolve:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("amplitudes", '[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [%s, 0.0]]'),
+        ("epsilon", "%s"),
+    ], ids=["amplitude", "epsilon"])
+    def test_integer_past_float_range_is_a_usage_error(self, capsys, tmp_path, field, value):
+        amplitudes = "[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
+        fields = {"amplitudes": amplitudes, "epsilon": "1.0", field: value % ("1" * 401)}
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"format_version": 1, "num_qubits": 2, "epsilon": %(epsilon)s, "projectors": '
+            '[{"qubits": [0, 1], "amplitudes": %(amplitudes)s}]}\n' % fields
+        )
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == cli.EXIT_USAGE == 3
+        assert out == ""
+        entry = "projectors[0].amplitudes[3][0]" if field == "amplitudes" else "epsilon"
+        assert err.splitlines() == [
+            f"error: {path}: {entry} is an integer too large for a float"
+        ]
+
     @pytest.mark.parametrize("num_qubits, route", [(3, "dense"), (12, "krylov")])
     def test_empty_file_reports_the_auto_route(self, capsys, tmp_path, num_qubits, route):
         path = tmp_path / "empty.json"

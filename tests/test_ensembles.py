@@ -181,6 +181,23 @@ class TestSampleEnsemble:
             qk.decide_sat(trial_instance(n, supports, 5, trial)).lambda0 for trial in range(4)
         ]
 
+    @pytest.mark.parametrize("cutoff", [7, 8])
+    def test_stack_size_does_not_follow_the_dense_cutoff(self, monkeypatch, cutoff):
+        # 4^(8 - 3) = 1,024 triangle-double trials fill one stack whatever
+        # the cutoff.
+        calls = []
+
+        def recorded(*args):
+            calls.append(len(args[2][0]))
+            return _decide(*args)
+
+        monkeypatch.setattr(qk.config, "DENSE_CUTOFF", cutoff)
+        monkeypatch.setattr(qk.ensembles, "_decide", recorded)
+        num_qubits, supports = qk.triangle_double_structure()
+        result = qk.sample_ensemble(num_qubits, supports, 1024, seed=3)
+        assert calls == [1024]
+        assert result.trials == 1024
+
     def test_structures_above_the_ceiling_are_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("trials were drawn")

@@ -55,7 +55,8 @@ class TestValidate:
     def test_norm_violation_is_reported_with_term_index(self):
         violations = self.violations(2, [qk.RankOneTerm((0,), [0.5, 0.0])])
         assert violations[0].term_index == 0
-        assert "norm" in violations[0].message
+        # A plain float, not numpy's repr of its scalar.
+        assert violations[0].message == "amplitudes norm 0.5 not within 1e-10 of 1"
 
     def test_support_out_of_range(self):
         violations = self.violations(2, [qk.basis_term((0, 2), "00")])

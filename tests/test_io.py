@@ -143,8 +143,15 @@ class TestParseErrors:
          "case.json: projectors[1].qubits must be a non-empty list of integers"),
         (lambda d: d["projectors"][0]["amplitudes"].pop(),
          "case.json: projectors[0].amplitudes must have length 4, got 3"),
+        (lambda d: d["projectors"][1]["amplitudes"].__setitem__(2, [10**400, 0.0]),
+         "case.json: projectors[1].amplitudes[2][0] is an integer too large for a float"),
+        (lambda d: d["projectors"][0]["amplitudes"].__setitem__(1, [0.0, -10**400]),
+         "case.json: projectors[0].amplitudes[1][1] is an integer too large for a float"),
+        (lambda d: d.__setitem__("epsilon", 10**400),
+         "case.json: epsilon is an integer too large for a float"),
     ], ids=["string-real-part", "true-imaginary-part", "three-element-pair",
-            "non-integer-qubit", "wrong-length"])
+            "non-integer-qubit", "wrong-length", "huge-real-part", "huge-imaginary-part",
+            "huge-epsilon"])
     def test_messages_name_the_entry(self, figure_a, defect, message):
         # Messages are built only when they are raised; each still names
         # the projector, the entry and the offending value.
@@ -167,6 +174,13 @@ class TestParseErrors:
         assert err.getvalue().splitlines() == [
             "error: invalid instance: term 1: amplitudes contain non-finite values"
         ]
+
+    def test_integers_past_the_digit_limit_are_parse_errors(self, figure_a):
+        # Python's int() refuses more than 4,300 digits by default, inside
+        # the JSON decoder.
+        text = json.dumps(document_of(figure_a)).replace('"epsilon": 1.0', '"epsilon": ' + "9" * 5000)
+        with pytest.raises(qk.ParseError, match="^case.json: invalid JSON: "):
+            qk.parse_instance(text, source="case.json")
 
     def test_unknown_top_level_keys_are_tolerated(self, figure_a):
         doc = document_of(figure_a)
@@ -202,7 +216,7 @@ def malformed_documents(draw):
     qubits, amplitudes = entry["qubits"], entry["amplitudes"]
     defect = draw(st.sampled_from([
         "drop key", "wrong type", "qubit out of range", "repeated qubit",
-        "non-finite amplitude", "amplitude length", "num_qubits", "epsilon",
+        "non-finite amplitude", "huge integer", "amplitude length", "num_qubits", "epsilon",
     ]))
     if defect == "drop key":
         key = draw(st.sampled_from(
@@ -228,6 +242,13 @@ def malformed_documents(draw):
     elif defect == "non-finite amplitude":
         pair = amplitudes[draw(st.integers(0, len(amplitudes) - 1))]
         pair[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif defect == "huge integer":
+        # Past float range, but within the JSON decoder's digit limit.
+        huge = draw(st.sampled_from([10**309, -(10**400), 7 * 10**1000]))
+        if draw(st.booleans()):
+            doc["epsilon"] = huge
+        else:
+            amplitudes[draw(st.integers(0, len(amplitudes) - 1))][draw(st.integers(0, 1))] = huge
     elif defect == "amplitude length":
         if draw(st.booleans()):
             amplitudes.append([0.0, 0.0])

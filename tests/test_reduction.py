@@ -686,7 +686,7 @@ class TestReductionProperties:
         assert report.degree_ok
         assert report.energy_ok
         assert report.reduced_method == "sectors"
-        # Against the whole register: dense up to 8 qubits, Lanczos beyond.
+        # Against the whole register: dense up to the cutoff, Lanczos beyond.
         full = qk.ground_energy(out.t_instance).lambda0
         assert abs(report.reduced_energy - full) <= 1e-10
 

@@ -528,24 +528,43 @@ class TestDecideSat:
     def test_empty_instance_is_satisfiable(self):
         assert qk.decide_sat(qk.QsatInstance(2, [])).tag == qk.SATISFIABLE
 
-    @pytest.mark.parametrize("k, num_terms, seed, frustrated", [
-        (3, 18, 1, True), (2, 9, 3, False), (3, 18, 3, False),
+    @pytest.mark.parametrize("k, terms_per_qubit, seed, frustrated", [
+        (3, 2, 1, True), (2, 1, 3, False), (3, 2, 3, False),
     ], ids=["frustrated", "haar-k2", "haar-k3"])
-    def test_unsatisfiable_nine_qubit_instances_go_krylov(self, k, num_terms, seed, frustrated):
-        # n = 9 is above the dense cutoff and no witness exists, so Krylov
+    def test_unsatisfiable_instances_above_the_cutoff_go_krylov(
+            self, k, terms_per_qubit, seed, frustrated):
+        # One qubit above the dense cutoff and no witness exists, so Krylov
         # decides, with the dense route's tag and ground energy.  The k = 2
-        # instance is near the edge: lambda0 = 5.2e-3.
+        # instance is near the edge: lambda0 = 4.3e-3 at n = 8, 5.2e-3 at 9.
+        n = qk.config.DENSE_CUTOFF + 1
         rng = np.random.Generator(np.random.Philox(key=seed))
         if frustrated:
-            extra = random_instance(rng, 9, num_terms - 4, k=k).terms
-            inst = qk.QsatInstance(9, qk.figure_b().terms + extra)
+            extra = random_instance(rng, n, terms_per_qubit * n - 4, k=k).terms
+            inst = qk.QsatInstance(n, qk.figure_b().terms + extra)
         else:
-            inst = random_instance(rng, 9, num_terms, k=k)
+            inst = random_instance(rng, n, terms_per_qubit * n, k=k)
         verdict = qk.decide_sat(inst)
         dense = qk.decide_sat(inst, method="dense")
         assert verdict.method == "krylov"
         assert verdict.tag == dense.tag == qk.UNSATISFIABLE
         assert abs(verdict.lambda0 - dense.lambda0) <= 1e-10
+
+    def test_eight_qubit_verdicts_near_the_threshold_match_the_dense_route(self):
+        # Haar k = 3 at m = n to 3n/2 straddles satisfiability at n = 8.
+        # auto decides the satisfiable ones by a witness and hands the rest
+        # to Krylov (DENSE_CUTOFF = 7); no solve may fail to converge, and
+        # every tag is the forced dense route's.
+        n, methods = 8, []
+        for seed in range(200):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            inst = random_instance(rng, n, int(rng.integers(n, 3 * n // 2 + 1)), k=3)
+            verdict = qk.decide_sat(inst)
+            dense = qk.decide_sat(inst, method="dense")
+            assert verdict.tag == dense.tag, seed
+            if verdict.method != "nullspace":
+                assert abs(verdict.lambda0 - dense.lambda0) <= 1e-10, seed
+            methods.append(verdict.method)
+        assert set(methods) == {"nullspace", "krylov"}
 
     def test_energy_between_bands_is_indeterminate(self):
         verdict = qk.decide_sat(near_identity_pair())
