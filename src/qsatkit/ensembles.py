@@ -28,8 +28,8 @@ from .spectral import INDETERMINATE, SATISFIABLE, UNSATISFIABLE, _decide, _route
 
 # Bytes of dense operators one stack of trials holds: 1 MiB, a stack of 1,024
 # on a 3-qubit structure.  Smaller stacks cost more per trial: a 500-trial
-# triangle-double sample took 22.0-24.4 ms in stacks of 256, against
-# 21.4-22.9 ms in stacks of 1,024 (median of 9 calls, 8 alternating runs,
+# triangle-double sample took 21.0-21.9 ms in stacks of 256, against
+# 19.9-20.4 ms in stacks of 1,024 (median of 9 calls, 8 alternating runs,
 # one OpenBLAS thread).
 STACK_BYTES = 1 << 20
 

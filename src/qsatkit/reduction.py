@@ -449,19 +449,34 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
     )
 
 
-def _z_commutes(term, qubit) -> bool:
-    """Whether the term commutes with the Pauli Z of one of its qubits."""
-    pos = term.support.index(qubit)
+def _z_commutes(term, qubits) -> bool:
+    """Whether the term commutes with the Pauli Z of each of the given qubits
+    of its support.
+
+    A rank-1 term does when its state's amplitude mass on one value of the
+    qubit is within ``config.Z_COMMUTATION_TOL``.  The squared real and
+    imaginary parts are taken once; the support is then walked in order,
+    each qubit's two slice masses read off the two halves of the weights
+    before the halves are added, which sums that qubit out for the next.
+    A general term does when its matrix has no entry above that tolerance
+    between the qubit's two values."""
+    tol = config.Z_COMMUTATION_TOL
     if isinstance(term, RankOneTerm):
-        tensor = np.moveaxis(term.amplitudes.reshape((2,) * term.k), pos, 0)
-        mass = np.linalg.norm(tensor.reshape(2, -1), axis=1)
-        return bool(min(mass) <= config.Z_COMMUTATION_TOL)
+        weight = np.square(term.amplitudes.view(np.float64))
+        for qubit in term.support:
+            zero, one = weight.reshape(2, -1)
+            if qubit in qubits and np.sqrt(min(zero.sum(), one.sum())) > tol:
+                return False
+            weight = zero + one
+        return True
     matrix = np.asarray(term.matrix)
-    dim = matrix.shape[0]
-    idx = np.arange(dim)
-    bit = (idx >> (term.k - 1 - pos)) & 1
-    off_block = matrix[np.ix_(bit == 0, bit == 1)]
-    return bool(np.max(np.abs(off_block), initial=0.0) <= config.Z_COMMUTATION_TOL)
+    for qubit in qubits:
+        pos = term.support.index(qubit)
+        # Rows with the qubit at 0 against columns with it at 1.
+        grid = matrix.reshape((1 << pos, 2, 1 << (term.k - 1 - pos)) * 2)
+        if np.max(np.abs(grid[:, 0, :, :, 1, :]), initial=0.0) > tol:
+            return False
+    return True
 
 
 def _sector_bounds(t, dummies):
@@ -542,9 +557,9 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     t = out.t_instance
     dummies = {i for i, role in enumerate(out.role_map) if role == ROLE_DUMMY}
     commutation_ok = all(
-        _z_commutes(term, qubit)
+        _z_commutes(term, qubits)
         for term in t.terms
-        for qubit in set(term.support) & dummies
+        if (qubits := set(term.support) & dummies)
     )
     delta_t = degree_profile(t).max_degree
     delta_q = degree_profile(q).max_degree

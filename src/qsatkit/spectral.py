@@ -40,10 +40,12 @@ gadget reduction's pinned-sector checks solve ``_pin``'s restriction on
 the free qubits only, and its verification solves each distinct connected
 component of a restriction once, on its own qubits (``_pinned_energy``).
 Every dense lowest eigenpair, including those and the dominance checks,
-comes from ``_dense_ground_pair``.
+comes from ``_dense_ground_pair``, one call per stack of operators; a
+single solve is a stack of one.
 """
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -63,6 +65,7 @@ from .instance import GeneralTerm, QsatInstance, RankOneTerm
 _HEEVR, _HEEVR_LWORK = scipy.linalg.get_lapack_funcs(
     ("heevr", "heevr_lwork"), dtype=np.complex128
 )
+_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
 _ZDOTC, _ZAXPY, _DZNRM2, _ZDSCAL = (
     scipy.linalg.blas.zdotc, scipy.linalg.blas.zaxpy,
     scipy.linalg.blas.dznrm2, scipy.linalg.blas.zdscal,
@@ -138,45 +141,67 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_ground_pair(qmat):
-    """The lowest eigenpair of a dense Hermitian operator, and its residual.
-
-    LAPACK's ``heevr`` computes that one pair only, called directly: the
-    ``scipy.linalg.eigh`` wrapper around it took 33 us of an 8 x 8 lowest
-    pair, against 11 us for the call alone (one OpenBLAS thread).  It keeps
-    the checks the wrapper made: a non-finite operator raises ValueError and
-    a failed LAPACK call LinAlgError.  A stack of operators goes through
-    here one at a time: a stacked ``np.linalg.eigh`` computes every pair and
-    was faster only at 8 x 8 (one OpenBLAS thread: 9.2 against 19.7 ms for
-    500 operators), slower from 16 x 16 up (19.8 against 15.4 ms for 250 at
-    n = 4, 222 against 54 ms for one at n = 9); with it, a sampled trial on
-    an 8-qubit structure took 18.4 ms, against 9.7 ms decided alone.
-    """
-    if not np.isfinite(qmat).all():
-        raise ValueError("array must not contain infs or NaNs")
-    # The workspace LAPACK asks for, as the wrapper used: the same pair, bit
-    # for bit.
-    size = len(qmat)
+@functools.cache
+def _heevr_arguments(size):
+    """The arguments after the matrix of a ``heevr`` call for the lowest
+    pair of a size x size operator, in the wrapper's order (compute_v,
+    range, lower, vl, vu, il, iu, abstol, lwork, lrwork, liwork): the
+    workspace is the one LAPACK asks for, as ``scipy.linalg.eigh`` queries
+    it, so the pair is the same bit for bit.  Passed by position, they save
+    the wrapper 1.2 of 11 us of an 8 x 8 call."""
     lwork, lrwork, liwork, info = _HEEVR_LWORK(size, lower=1)
-    if info == 0:
-        vals, vecs, _, _, info = _HEEVR(
-            qmat, range="I", il=1, iu=1, lower=1,
-            lwork=int(lwork.real), lrwork=int(lrwork), liwork=int(liwork),
-        )
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK zheevr failed with info={info}")
-    vec = vecs[:, 0]
-    residual = float(np.linalg.norm(qmat @ vec - vals[0] * vec))
-    return float(vals[0]), vec, residual
+        raise np.linalg.LinAlgError(f"LAPACK zheevr_lwork failed with info={info}")
+    return 1, "I", 1, 0.0, 1.0, 1, 1, 0.0, int(lwork.real), int(lrwork), int(liwork)
+
+
+def _dense_ground_pair(stack):
+    """The lowest eigenpair of each dense Hermitian operator of a stack
+    (T, s, s), and its residual: ``(lambdas, vectors, residuals)`` of shapes
+    (T,), (T, s) and (T,).
+
+    LAPACK's ``heevr`` computes that one pair only, called directly once per
+    operator.  The stack shares one finiteness check and one workspace
+    query, and each residual ||Q v - lambda v|| is taken in place with BLAS:
+    a stack of 500 8 x 8 operators took 7.6-7.9 ms, against 11.4-11.7 ms
+    when each operator paid its own set-up, and a single 8 x 8 solve 17.8
+    against 20.0 us (two paired runs on a 2-core host, one OpenBLAS
+    thread).  It keeps the checks of the ``scipy.linalg.eigh`` wrapper: a
+    non-finite operator anywhere in the stack raises ValueError before any
+    solve, and a failed LAPACK call LinAlgError.
+
+    A stacked ``np.linalg.eigh`` computes every pair of every operator.  In
+    ``BENCH_dense.json`` (``benchmarks/bench_dense.py``) it took 0.11-0.91x
+    the per-operator time up to 8 x 8, but 1.7-2.7x from 16 x 16 up, and
+    its pairs are not ``heevr``'s bit for bit; so every size keeps the one
+    ``heevr`` path.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("array must not contain infs or NaNs")
+    count, size = len(stack), stack.shape[-1]
+    arguments = _heevr_arguments(size)
+    lambdas, residuals = np.empty(count), np.empty(count)
+    vectors = np.empty((count, size), dtype=np.complex128)
+    for t, qmat in enumerate(stack):
+        vals, vecs, _, _, info = _HEEVR(qmat, *arguments)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK zheevr failed with info={info}")
+        vec = vecs[:, 0]
+        image = _ZAXPY(vec, qmat @ vec, a=-vals[0])
+        lambdas[t], vectors[t], residuals[t] = vals[0], vec, _DZNRM2(image)
+    return lambdas, vectors, residuals
 
 
 # Lanczos steps between two checks of the lowest Ritz pair.  A check solves
-# the tridiagonal for that one pair: 30 us at 20 steps and 570-670 us at
-# 1,000, against 49 us for a whole step at n = 10, of which 45-47 us is the
-# matvec (one OpenBLAS thread).  The near-frustration-free n = 10 solves of
-# qsatbench's large_krylov take 960-1,000 steps and 48-50 checks; with
-# every vector kept and no replay, the checks take 16-25 ms of a 66-122 ms
-# solve, 20-26% (13-17% while a second pass replayed every step).
+# the tridiagonal for that one pair with LAPACK's stebz and stein
+# (``_lowest_tridiagonal_pair``): 13 us at 20 steps and 540-580 us at
+# 1,000, against 620-680 us through ``scipy.linalg.eigh_tridiagonal`` on
+# the step lists, and 49 us for a whole step at n = 10, of which 45-47 us
+# is the matvec (one OpenBLAS thread).  Each check is still O(steps), so
+# their total grows with the square of the steps.  The near-frustration-free
+# n = 10 solves of qsatbench's large_krylov take 960-1,000 steps and 48-50
+# checks; with every vector kept and no replay, the checks take 14-16 ms of
+# a 67-73 ms solve, 21-22% (25-26% through eigh_tridiagonal).
 # An interval of max(20, steps // 8) made 24 checks but ran 1,038 steps a
 # pass: in three interleaved runs of 20-30 solves per frame it took
 # 0.91-0.94x the time on four frames, but 0.91-1.10x on the one that
@@ -291,37 +316,60 @@ def _krylov_ground_pair(instance):
         start = vec
 
 
+def _lowest_tridiagonal_pair(alphas, betas):
+    """The lowest eigenpair (theta, y) of the real symmetric tridiagonal with
+    diagonal ``alphas`` and off-diagonal ``betas`` (one entry fewer), both
+    float64 arrays: ``scipy.linalg.eigh_tridiagonal(alphas, betas,
+    select="i", select_range=(0, 0))`` bit for bit, from the same LAPACK
+    calls (``stebz`` by bisection, then ``stein`` by inverse iteration)
+    without the wrapper's conversions and argument checks.  It keeps the
+    wrapper's checks on the data: a non-finite entry raises ValueError and a
+    failed LAPACK call LinAlgError.
+    """
+    if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(alphas) == 1:
+        return float(alphas[0]), np.ones(1)
+    found, theta, block, split, info = _STEBZ(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        ritz, info = _STEIN(alphas, betas, theta[:found], block, split)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK stebz/stein failed with info={info}")
+    return float(theta[0]), ritz[:, 0]
+
+
 def _ritz_pass(applier, dim, kept, tol, budget, start):
     """One pass of ``_krylov_ground_pair``: the lowest Ritz pair
     ``(theta, vector)`` of a Lanczos recurrence from ``start`` (None: from
     ``_start_vector``), the steps it took and whether it converged.
 
     Every ``_RITZ_CHECK`` steps the lowest pair (theta, y) of the
-    tridiagonal is computed, and the pass stops when its residual estimate
-    beta |y_last| is at most ``tol``, or after ``budget`` steps.  A beta
-    within that bound marks an invariant subspace; it is checked at once and
-    meets the same test.  The Ritz vector is the sum over the steps, in step
-    order, of y_j v_j, normalized.  The pass copies each vector into row
-    j % keep of the preallocated ring ``kept`` of keep rows, so the latest
-    keep vectors are at hand; a second pass replays the recurrence for the
-    older steps only, and is skipped when there are none.  The ring holds
-    2,048 vectors at n = 10 and 8 at n = 18.  The sum is the same, bit for
-    bit, at any keep.
+    tridiagonal is computed (``_lowest_tridiagonal_pair``, on slices of the
+    alpha and beta arrays, which double in length when full), and the pass
+    stops when its residual estimate beta |y_last| is at most ``tol``, or
+    after ``budget`` steps.  A beta within that bound marks an invariant
+    subspace; it is checked at once and meets the same test.  The Ritz
+    vector is the sum over the steps, in step order, of y_j v_j, normalized.
+    The pass copies each vector into row j % keep of the preallocated ring
+    ``kept`` of keep rows, so the latest keep vectors are at hand; a second
+    pass replays the recurrence for the older steps only, and is skipped
+    when there are none.  The ring holds 2,048 vectors at n = 10 and 8 at
+    n = 18.  The sum is the same, bit for bit, at any keep.
     """
     keep = len(kept)
-    alphas, betas = [], []
+    alphas, betas = np.empty(_RITZ_CHECK), np.empty(_RITZ_CHECK)
+    steps = 0
     for vec, alpha, beta in _lanczos(applier, dim, start=start):
         if keep:
-            kept[len(alphas) % keep] = vec
-        alphas.append(alpha)
-        betas.append(beta)
-        steps = len(alphas)
+            kept[steps % keep] = vec
+        if steps == len(alphas):
+            alphas, betas = (np.concatenate((a, np.empty_like(a))) for a in (alphas, betas))
+        alphas[steps], betas[steps] = alpha, beta
+        steps += 1
         if steps % _RITZ_CHECK and beta > tol and steps < budget:
             continue
-        theta, ritz = scipy.linalg.eigh_tridiagonal(
-            alphas, betas[:-1], select="i", select_range=(0, 0)
-        )
-        converged = beta * abs(ritz[-1, 0]) <= tol
+        theta, ritz = _lowest_tridiagonal_pair(alphas[:steps], betas[:steps - 1])
+        converged = beta * abs(ritz[-1]) <= tol
         if converged or steps == budget:
             break
     # Rebinding vec drops the pass's last vector before the replay.
@@ -329,14 +377,14 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
     replayed = max(steps - keep, 0)
     if replayed:
         for y, (v, _, _) in zip(
-            ritz[:replayed, 0],
+            ritz[:replayed],
             _lanczos(applier, dim, alphas[:replayed], betas[:replayed], start=start),
         ):
             _ZAXPY(v, vec, a=y)
     for j in range(replayed, steps):
-        _ZAXPY(kept[j % keep], vec, a=ritz[j, 0])
+        _ZAXPY(kept[j % keep], vec, a=ritz[j])
     _ZDSCAL(1.0 / _DZNRM2(vec), vec, overwrite_x=1)
-    return float(theta[0]), vec, steps, converged
+    return theta, vec, steps, converged
 
 
 def _route(n, method):
@@ -389,7 +437,10 @@ def _ground_pairs(num_qubits, supports, actions, route):
     the best iterate.
     """
     if route == "dense":
-        pairs = map(_dense_ground_pair, _assemble_stack(num_qubits, supports, actions))
+        lambdas, vectors, residuals = _dense_ground_pair(
+            _assemble_stack(num_qubits, supports, actions)
+        )
+        pairs = zip(lambdas.tolist(), vectors, residuals.tolist())
     else:
         pairs = (_krylov_ground_pair(SimpleNamespace(
             num_qubits=num_qubits, num_terms=len(supports),
@@ -695,7 +746,7 @@ def operator_dominates(a, b, tol: float = config.DOMINANCE_TOL) -> bool:
     # Also false on a NaN or infinite entry.
     if not np.all(np.abs(diff - diff.conj().T) <= config.HERMITICITY_TOL):
         raise ArgumentError("A - B is not a finite Hermitian matrix")
-    return bool(_dense_ground_pair(diff)[0] >= -tol)
+    return bool(_dense_ground_pair(diff[None])[0][0] >= -tol)
 
 
 def _pin(num_qubits, supports, actions, fixed):

@@ -563,9 +563,9 @@ class TestVerifyReduction:
         sizes = []
         dense = spectral._dense_ground_pair
 
-        def counted(qmat):
-            sizes.append(len(qmat))
-            return dense(qmat)
+        def counted(stack):
+            sizes.extend([stack.shape[-1]] * len(stack))
+            return dense(stack)
 
         monkeypatch.setattr(spectral, "_dense_ground_pair", counted)
         monkeypatch.setattr(spectral, "_krylov_ground_pair", refuse)

@@ -92,7 +92,7 @@ def _masked_ground_energy(inst, fixed):
     for qubit, bit in fixed.items():
         mask &= ((idx >> (n - 1 - qubit)) & 1) == bit
     sel = np.flatnonzero(mask)
-    return spectral._dense_ground_pair(qk.assemble_dense(inst)[np.ix_(sel, sel)])[0]
+    return spectral._dense_ground_pair(qk.assemble_dense(inst)[np.ix_(sel, sel)][None])[0][0]
 
 
 @st.composite
@@ -837,18 +837,57 @@ class TestGroundStage:
         a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         qmat = a + a.conj().T
         vals, vecs = scipy.linalg.eigh(qmat, subset_by_index=[0, 0])
-        lam, vec, residual = spectral._dense_ground_pair(qmat)
+        (lam,), (vec,), (residual,) = spectral._dense_ground_pair(qmat[None])
         assert lam == vals[0]
         assert np.array_equal(vec, vecs[:, 0])
         assert residual <= 1e-12
 
     def test_dense_pair_refuses_non_finite_operators(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            spectral._dense_ground_pair(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+            spectral._dense_ground_pair(np.array([[[1.0, np.nan], [np.nan, 0.0]]]))
+
+    @pytest.mark.parametrize("count", [1, 3, 500])
+    @pytest.mark.parametrize("size", [1, 2, 8, 64])
+    def test_a_stack_solves_as_its_operators_alone(self, size, count):
+        # One finiteness check and one workspace for the stack; each pair as
+        # the same operator gets it in a stack of one.
+        rng = np.random.Generator(np.random.Philox(key=[size, count]))
+        a = rng.standard_normal((count, size, size)) + 1j * rng.standard_normal((count, size, size))
+        stack = a + a.conj().swapaxes(1, 2)
+        lambdas, vectors, residuals = spectral._dense_ground_pair(stack)
+        assert lambdas.shape == residuals.shape == (count,)
+        assert vectors.shape == (count, size)
+        for t in range(count):
+            (lam,), (vec,), (residual,) = spectral._dense_ground_pair(stack[t:t + 1])
+            assert lambdas[t] == lam
+            assert np.array_equal(vectors[t], vec)
+            assert abs(residuals[t] - residual) <= 1e-15
+
+    def test_a_non_finite_last_operator_stops_the_stack_before_any_solve(self, monkeypatch):
+        calls = []
+        heevr = spectral._HEEVR
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return heevr(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_HEEVR", counted)
+        stack = np.tile(np.eye(4, dtype=np.complex128), (5, 1, 1))
+        stack[-1, 3, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral._dense_ground_pair(stack)
+        assert calls == []
+        spectral._dense_ground_pair(stack[:-1])
+        assert len(calls) == 4
 
     @staticmethod
     def _unconverged(*args):
         return 0.25, np.zeros(1, dtype=np.complex128), 1.0
+
+    @staticmethod
+    def _unconverged_stack(stack):
+        count = len(stack)
+        return np.full(count, 0.25), np.zeros((count, 1), dtype=np.complex128), np.ones(count)
 
     @pytest.mark.parametrize("run", [
         lambda b: qk.ground_energy(b),
@@ -859,7 +898,7 @@ class TestGroundStage:
     ], ids=["ground-energy", "ground-energy-krylov", "decide-dense", "decide-krylov",
             "stacked-sample"])
     def test_a_residual_over_the_tolerance_raises(self, monkeypatch, figure_b, run):
-        monkeypatch.setattr(spectral, "_dense_ground_pair", self._unconverged)
+        monkeypatch.setattr(spectral, "_dense_ground_pair", self._unconverged_stack)
         monkeypatch.setattr(spectral, "_krylov_ground_pair", self._unconverged)
         with pytest.raises(qk.ConvergenceError) as exc:
             run(figure_b)
@@ -874,13 +913,52 @@ class TestGroundStage:
     ], ids=["decide-sat", "ground-energy", "stacked-sample", "restricted",
             "dominance"])
     def test_every_dense_solve_reaches_one_function(self, monkeypatch, figure_b, run, solves):
-        calls = []
+        operators = []
         pair = spectral._dense_ground_pair
 
-        def counted(qmat):
-            calls.append(qmat.shape)
-            return pair(qmat)
+        def counted(stack):
+            operators.append(len(stack))
+            return pair(stack)
 
         monkeypatch.setattr(spectral, "_dense_ground_pair", counted)
         run(figure_b)
-        assert len(calls) == solves
+        assert sum(operators) == solves
+
+
+class TestRitzCheck:
+    """The Lanczos pass's Ritz check calls LAPACK's ``stebz`` and ``stein``
+    itself and must give ``scipy.linalg.eigh_tridiagonal``'s pair."""
+
+    @staticmethod
+    def _tridiagonal(steps, key):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        return rng.uniform(0.0, 4.0, steps), rng.uniform(0.05, 1.0, steps - 1)
+
+    @staticmethod
+    def _assert_eigh_tridiagonal_pair(alphas, betas):
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            alphas, betas, select="i", select_range=(0, 0)
+        )
+        theta, ritz = spectral._lowest_tridiagonal_pair(alphas, betas)
+        assert theta == vals[0]
+        assert np.array_equal(ritz, vecs[:, 0])
+
+    @pytest.mark.parametrize("steps", [1, 2, 20, 1000])
+    def test_pair_is_the_eigh_tridiagonal_pair(self, steps):
+        self._assert_eigh_tridiagonal_pair(*self._tridiagonal(steps, steps))
+
+    def test_pair_of_a_tridiagonal_that_splits(self):
+        # A zero beta splits it into blocks, which stebz solves one by one.
+        alphas, betas = self._tridiagonal(60, 7)
+        betas[[10, 41]] = 0.0
+        self._assert_eigh_tridiagonal_pair(alphas, betas)
+        alphas[:11] -= 5.0  # the lowest pair in the first block
+        self._assert_eigh_tridiagonal_pair(alphas, betas)
+
+    @pytest.mark.parametrize("where", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_are_refused(self, where, value):
+        alphas, betas = self._tridiagonal(30, 3)
+        (alphas if where == "alpha" else betas)[-1] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral._lowest_tridiagonal_pair(alphas, betas)
