@@ -14,10 +14,14 @@ by more than 1e-8.  The population, at each register size n:
 
 with m in {n/2, n, 3n/2, 2n} (rounded down) and ``SEEDS`` seeds each.
 
-The JSON written to ``--out`` holds the machine (core count, BLAS,
-``OPENBLAS_NUM_THREADS``), every instance's times, the median, quartiles and
-total of each route at each n (also split by verdict), and the implied
-cutoff: the largest n at which the dense route's summed time beats
+Either route solves each connected component of an instance on its own
+qubits, so an instance's times follow its widest component w, the number
+of qubits of its largest connected component, rather than n; ``auto``
+compares w with ``config.DENSE_CUTOFF``.  The JSON written to ``--out``
+holds the machine (core count, BLAS, ``OPENBLAS_NUM_THREADS``), every
+instance's n, w and times, the median, quartiles and total of each route at
+each w with two or more instances (also split by verdict), and the implied
+cutoff: the largest w at which the dense route's summed time beats
 Krylov's.  ``config.DENSE_CUTOFF`` is set from it.  ``--quick`` sweeps
 n = 4-6 with one seed and one repeat, to check that the routes agree.
 
@@ -98,6 +102,16 @@ def population(qubits, seeds):
                             np.random.SeedSequence([BASE_SEED, n, kind_id, k, m, seed])
                         ))
                         yield n, kind, k, m, seed, qk.QsatInstance(n, DRAW[kind](n, m, k, gen))
+
+
+def widest(instance):
+    """Qubits of the instance's largest connected component."""
+    supports = instance.supports()
+    return max(
+        (len({q for j in group for q in supports[j]})
+         for group in qk.spectral._components(supports)),
+        default=0,
+    )
 
 
 def timed(instance, method):
@@ -183,33 +197,36 @@ def main() -> None:
     for n, kind, k, m, seed, instance in population(qubits, seeds):
         dense, krylov, lambda0 = measure(instance, repeats)
         rows.append({
-            "n": n, "kind": kind, "k": k, "terms": instance.num_terms, "seed": seed,
+            "n": n, "widest": widest(instance), "kind": kind, "k": k,
+            "terms": instance.num_terms, "seed": seed,
             "verdict": qk.spectral._tag(lambda0, instance.num_terms, None), "lambda0": lambda0,
             "dense_ms": round(dense * 1e3, 4), "krylov_ms": round(krylov * 1e3, 4),
         })
 
-    per_n = {}
-    print(f"{'n':>3}  {'verdict':<15} {'count':>5}  {'krylov/dense':>12}  "
+    per_widest = {}
+    print(f"{'w':>3}  {'verdict':<15} {'count':>5}  {'krylov/dense':>12}  "
           f"{'range':>13}  {'dense total':>11}  {'krylov total':>12}")
-    for n in qubits:
-        at_n = [r for r in rows if r["n"] == n]
-        summary = summarize(at_n)
+    for w in sorted({r["widest"] for r in rows}):
+        at_w = [r for r in rows if r["widest"] == w]
+        if len(at_w) < 2:
+            continue
+        summary = summarize(at_w)
         groups = {}
         for tag in (qk.UNSATISFIABLE, qk.SATISFIABLE, qk.INDETERMINATE):
-            group = [r for r in at_n if r["verdict"] == tag]
+            group = [r for r in at_w if r["verdict"] == tag]
             if len(group) > 1:
                 groups[tag] = summarize(group)
         summary["by_verdict"] = groups
         summary["dense_beats_krylov"] = summary["dense_ms"]["total"] < summary["krylov_ms"]["total"]
-        per_n[str(n)] = summary
+        per_widest[str(w)] = summary
         for label, s in [("all", summary), *groups.items()]:
             ratio = s["krylov_over_dense"]
             span = f"{ratio['min']:.2f}-{ratio['max']:.2f}x"
-            print(f"{n:>3}  {label:<15} {s['instances']:>5}  {ratio['median']:>11.2f}x  "
+            print(f"{w:>3}  {label:<15} {s['instances']:>5}  {ratio['median']:>11.2f}x  "
                   f"{span:>13}  "
                   f"{s['dense_ms']['total']:>8.1f} ms  {s['krylov_ms']['total']:>9.1f} ms")
 
-    wins = [n for n in qubits if per_n[str(n)]["dense_beats_krylov"]]
+    wins = [int(w) for w, summary in per_widest.items() if summary["dense_beats_krylov"]]
     cutoff = max(wins) if wins else None
     print(f"implied cutoff: {cutoff}")
     report = {
@@ -219,9 +236,10 @@ def main() -> None:
             "kinds": [f"{kind}-k{k}" for kind in KINDS for k in (2, 3)],
             "terms": "n // 2, n, 3n // 2, 2n (frustrated: figure-b's 4 more)",
             "time": "median of the alternating repeats of ground_energy, ms",
+            "bins": "widest connected component w, in qubits; one-instance bins left out",
         },
         "implied_cutoff": cutoff,
-        "per_n": per_n,
+        "per_widest": per_widest,
         "instances": rows,
     }
     args.out.write_text(dump(report))

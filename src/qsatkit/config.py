@@ -6,23 +6,28 @@ from .errors import ArgumentError, CapacityError
 
 DEFAULT_MAX_QUBITS = 20
 
-# Largest instance that method="auto" (ground_energy, decide_sat)
-# solves by dense eigendecomposition; beyond it the matrix-free Krylov path
-# takes over.  It is the largest n at which the dense route's summed time
-# beats Krylov's in BENCH_routes.json, written by benchmarks/bench_routes.py:
-# forced dense against forced Krylov ground_energy, median of 3 alternating
-# calls, on 96 instances per n (Haar, planted and frustrated; k = 2 and 3;
-# m = n/2 to 2n; 4 seeds each), one OpenBLAS thread, 2-core x86 host.
-# Krylov took a median 1.45x the dense time at n = 7 (0.37-2.99x; 396 ms
-# against 268 ms in all), 0.51x at n = 8 (0.15-1.89x; 666 against
-# 1,172 ms) and 0.14x at n = 9.  Unsatisfiable instances alone, which
-# decide_sat hands to this route, give the same order: 1.44x at n = 7 and
-# 0.53x at n = 8 (0.26-0.98x).
+# Widest connected component that method="auto" (ground_energy,
+# decide_sat) solves by dense eigendecomposition; an instance whose widest
+# component is wider goes to the matrix-free Krylov path.  Either route
+# solves each component on its own qubits, so the comparison is with the
+# component, not the register.  It is the largest width w at which the dense
+# route's summed time beats Krylov's in BENCH_routes.json, written by
+# benchmarks/bench_routes.py: forced dense against forced Krylov
+# ground_energy, median of 3 alternating calls, on 96 instances per n = 6-10
+# (Haar, planted and frustrated; k = 2 and 3; m = n/2 to 2n; 4 seeds each;
+# 25-43 of each 96 have a component narrower than n), binned by w, one
+# OpenBLAS thread, 2-core x86 host.  7 still holds on that binning: Krylov
+# took a median 1.43x the dense time at w = 7 (0.49-2.76x; 259 ms against
+# 172 ms in all, 92 instances), 0.49x at w = 8 (0.20-1.86x; 435 against
+# 721 ms, 85 instances) and 0.16x at w = 9.  Unsatisfiable instances alone,
+# which decide_sat hands to this route, give the same order: 1.40x at w = 7
+# and 0.48x at w = 8 (0.28-1.82x).
 DENSE_CUTOFF = 7
 
 # Largest register any dense routine accepts: forced method="dense",
 # assemble_dense, the null-space intersection, and verify_reduction's input
-# and each connected component of its sector solves.
+# and each connected component of its sector solves.  Forced dense is
+# refused on the register, even where its components are narrower.
 # Computed, not run: at 13 qubits the 8192 x 8192 complex matrix is 1 GiB
 # and about 3 GiB with eigh's working copy; at 14 it would be 4 GiB plus a
 # copy, more than an 8 GiB machine holds.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .instance import QsatInstance, RankOneTerm
-from .spectral import INDETERMINATE, SATISFIABLE, UNSATISFIABLE, _decide, _route
+from .spectral import INDETERMINATE, SATISFIABLE, UNSATISFIABLE, _check_method, _decide
 
 # Bytes of dense operators one stack of trials holds: 1 MiB, a stack of 1,024
 # on a 3-qubit structure.  Smaller stacks cost more per trial: a 500-trial
@@ -114,7 +114,7 @@ def sample_ensemble(num_qubits, supports, trials, seed) -> EnsembleResult:
     # Raises ValidationError for a bad structure, or CapacityError above the
     # qubit ceiling, before anything is drawn.
     QsatInstance(num_qubits, [RankOneTerm(s, np.eye(1, d)[0]) for s, d in zip(supports, dims)])
-    _route(num_qubits, "auto")
+    _check_method(num_qubits, "auto")
     # A structure with no terms has no stack axis: one trial at a time.
     chunk = max(1, STACK_BYTES // (16 << 2 * num_qubits)) if supports else 1
     counts = {SATISFIABLE: 0, UNSATISFIABLE: 0, INDETERMINATE: 0}

@@ -247,9 +247,18 @@ def schmidt_split(t: RankOneTerm, pivot: int, check: bool = True) -> list:
 
 
 def pad_with_dummies(t: RankOneTerm, target_k: int, fresh) -> RankOneTerm:
-    """Raise a term's locality by tensoring |0> on fresh qubits."""
+    """Raise a term's locality by tensoring |0> on fresh qubits.
+
+    A ``target_k`` above ``config.max_qubits()``, the support ceiling every
+    instance is validated against, raises ArgumentError before the 2^k
+    amplitudes are allocated."""
     if not isinstance(t, RankOneTerm):
         raise ArgumentError("padding requires a rank-1 term")
+    limit = config.max_qubits()
+    if target_k > limit:
+        raise ArgumentError(
+            f"target locality {target_k} exceeds the support limit of {limit} qubits"
+        )
     fresh = tuple(int(f) for f in fresh)
     if len(fresh) != target_k - t.k:
         raise ArgumentError(

@@ -23,25 +23,37 @@ satisfiable instance needs no eigensolver (an n = 15 planted verdict took
 about 40 ms against seconds of Lanczos).  Otherwise it cross-checks the
 spectral verdict.
 
-``method="auto"`` takes the dense route up to ``config.DENSE_CUTOFF`` = 7
-qubits and Krylov beyond: in ``BENCH_routes.json`` (written by
-``benchmarks/bench_routes.py``) Krylov took a median 1.45x the dense time
-at n = 7 and 0.51x at n = 8.  No dense routine accepts more than
-``config.DENSE_MAX_QUBITS`` qubits.
+Every ground energy is a sum over connected components: projectors on
+disjoint qubits act on separate tensor factors, so lambda0 is the sum of
+the components' ground energies and a ground state is the product of
+theirs, with every idle qubit at |0>.  ``_component_pairs`` is the one
+ground-state path.  It splits a stack's terms (``_components``), solves each
+component on its own qubits through ``_ground_pairs``, once for equal
+components, and sums the pairs; a component on the whole register passes
+straight through, so a connected instance gets the pairs of an unsplit
+solve, bit for bit.  ``ground_energy`` takes its pair from it, ``_decide``,
+the one verdict pipeline, tags the pairs it yields, and the gadget
+reduction's verification sums ``_pin``'s restrictions with it
+(``_pinned_energy``).  ``restricted_ground_energy`` alone solves a pinned
+register whole.
 
-``_ground_pairs`` is the one ground-state stage: ``ground_energy`` takes its
-pair from it, and ``_decide``, the one verdict pipeline, tags the pairs it
-yields.  Both work on a stack of instances that share one structure, with a
+``method="auto"`` takes the dense route when the widest component has at
+most ``config.DENSE_CUTOFF`` = 7 qubits and Krylov otherwise: in
+``BENCH_routes.json`` (written by ``benchmarks/bench_routes.py``, binned by
+the widest component) Krylov took a median 1.43x the dense time at a
+widest component of 7 qubits and 0.49x at 8.  The register is still
+bounded as a whole: no route accepts more than ``config.max_qubits()``
+qubits, and a forced dense route or dense routine no more than
+``config.DENSE_MAX_QUBITS``.
+
+The stages work on a stack of instances that share one structure, with a
 leading instance axis; ``ground_energy`` and ``decide_sat`` are stacks of
 one, and ``sample_ensemble`` decides its trials in stacks.  Every numeric
 layer reads a stack as ``(num_qubits, supports, actions)``, with the terms'
-own actions A (``QsatInstance.actions``; A^H A is the projector).  The
-gadget reduction's pinned-sector checks solve ``_pin``'s restriction on
-the free qubits only, and its verification solves each distinct connected
-component of a restriction once, on its own qubits (``_pinned_energy``).
-Every dense lowest eigenpair, including those and the dominance checks,
-comes from ``_dense_ground_pair``, one call per stack of operators; a
-single solve is a stack of one.
+own actions A (``QsatInstance.actions``; A^H A is the projector).  Every
+dense lowest eigenpair, including the dominance checks, comes from
+``_dense_ground_pair``, one call per stack of operators; a single solve is
+a stack of one.
 """
 
 import bisect
@@ -387,54 +399,51 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
     return theta, vec, steps, converged
 
 
-def _route(n, method):
-    """The route, "dense" or "krylov", that ``method`` takes on ``n`` qubits
-    (see ``ground_energy``); raises on a route that cannot run."""
+def _check_method(n, method):
+    """Raise on a ``method`` that cannot run on an ``n``-qubit register: one
+    above ``config.max_qubits()``, an unknown method, or "dense" forced above
+    ``config.DENSE_MAX_QUBITS``.  The route "auto" takes is chosen by
+    ``_component_pairs``, from the widest connected component."""
     if n > config.max_qubits():
         raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
     if method not in ("auto", "dense", "krylov"):
         raise ArgumentError(f"unknown method {method!r}")
-    if method == "auto":
-        return "dense" if n <= config.DENSE_CUTOFF else "krylov"
     if method == "dense" and n > config.DENSE_MAX_QUBITS:
         raise CapacityError(
             f"dense solves are limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
         )
-    return method
 
 
 def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResult:
     """The minimum eigenvalue of the instance operator with its eigenvector.
 
-    ``method``: "auto" picks dense up to the dense cutoff and the Krylov
-    iteration beyond; "dense"/"krylov" force a route, and "dense" refuses
-    registers above ``config.DENSE_MAX_QUBITS`` before allocating.
-    Instances with no terms short-circuit to energy 0 on the all-zeros basis
-    state, reported under the route that would have run; any other instance
-    takes its pair from the ground-state stage ``_ground_pairs``.
+    ``method``: "auto" picks dense when the widest connected component has
+    at most ``config.DENSE_CUTOFF`` qubits and the Krylov iteration
+    otherwise; "dense"/"krylov" force a route, and "dense" refuses
+    registers above ``config.DENSE_MAX_QUBITS`` before allocating.  The
+    pair comes from ``_component_pairs``: an instance with no terms has
+    energy 0 on the all-zeros basis state.
     """
-    n = instance.num_qubits
-    method = _route(n, method)
-    m = instance.num_terms
-    if m == 0:
-        vec = np.zeros(1 << n, dtype=np.complex128)
-        vec[0] = 1.0
-        return SpectralResult(0.0, 0.0, vec, method, 0.0)
-    actions = _actions(instance.terms)
-    lam, vec, residual = next(_ground_pairs(n, instance.supports(), actions, method))
-    return SpectralResult(lam, lam / m, vec, method, residual)
+    _check_method(instance.num_qubits, method)
+    route, ((lam, vec, residual),) = _component_pairs(
+        instance.num_qubits, instance.supports(), _actions(instance.terms), method, vectors=True
+    )
+    return SpectralResult(lam, lam / max(1, instance.num_terms), vec, route, residual)
 
 
 def _ground_pairs(num_qubits, supports, actions, route):
-    """The one ground-state stage: yields the lowest eigenpair
-    ``(lambda0, vector, residual)`` of each instance of a stack on one
-    structure, with ``actions`` as in ``_local_nullspace_basis`` (at least
-    one term on the Krylov route).  The dense route solves each operator of
+    """The ground-state solve on the whole register: yields the lowest
+    eigenpair ``(lambda0, vector, residual)`` of each instance of a stack on
+    one structure, with ``actions`` as in ``_local_nullspace_basis`` (at
+    least one term on the Krylov route).  The dense route solves each operator of
     one ``_assemble_stack``; the Krylov route iterates on each instance,
     passed as a view with the four members of a ``QsatInstance`` that
     ``kernels.InstanceApplier`` reads.  A pair whose residual exceeds
     ``config.RESIDUAL_TOL`` raises ConvergenceError, carrying the pair as
-    the best iterate.
+    the best iterate.  Under ``_component_pairs``, which calls it once per
+    connected component, the error of an instance that is not one component
+    on its whole register names the failing component's qubits and carries
+    that component's pair, on its own qubits.
     """
     if route == "dense":
         lambdas, vectors, residuals = _dense_ground_pair(
@@ -454,6 +463,123 @@ def _ground_pairs(num_qubits, supports, actions, route):
                 best_vector=vec,
             )
         yield lam, vec, residual
+
+
+def _components(supports) -> list:
+    """The connected components of a set of terms, as lists of term indices
+    in input order: two terms are connected when they share a qubit
+    (union-find over the qubits).  A term on no qubits is in none."""
+    parent = {}
+
+    def root(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    for support in supports:
+        for q in support:
+            parent.setdefault(q, q)
+        for q in support[1:]:
+            parent[root(q)] = root(support[0])
+    groups = {}
+    for j, support in enumerate(supports):
+        if support:
+            groups.setdefault(root(support[0]), []).append(j)
+    return list(groups.values())
+
+
+def _component_pairs(num_qubits, supports, actions, method, vectors=False,
+                     what="the instance", solved=None):
+    """The ground-state stage over connected components: ``(route, pairs)``,
+    the route that ran and, for each instance of a stack on one structure
+    (``actions`` as in ``_local_nullspace_basis``), its pair ``(lambda0,
+    vector, residual)``.
+
+    Projectors on disjoint qubits act on separate tensor factors, so lambda0
+    is the sum of the components' (``_components``) lambda0s, a term on no
+    qubits (which ``_pin`` leaves) adds ||A||^2, and an idle qubit adds 0.
+    Each component is relabelled onto its own qubits, in ascending order, and
+    its stack goes through ``_ground_pairs``; the residual is
+    sqrt(sum r_c^2).  With ``vectors`` the vector is the product of the
+    components' vectors, placed by ``kernels.fiber_layout`` on their qubits in
+    component order, with every idle qubit at |0>; otherwise it may be None.
+    With no components, lambda0 is that of the terms on no qubits (0 when
+    there are none) and the vector is |0...0>.
+
+    "auto" takes the dense route when the widest component has at most
+    ``config.DENSE_CUTOFF`` qubits and Krylov otherwise, and every component
+    takes that route.  A dense route over a component that ``_check_method``
+    refuses (wider than ``config.DENSE_MAX_QUBITS`` or the register ceiling)
+    raises CapacityError, with ``what`` naming the operator.  A component's
+    pair that ``_ground_pairs`` rejects raises ConvergenceError naming the
+    component's qubits and carrying its pair, on those qubits.
+
+    One component with every term on the whole register goes to
+    ``_ground_pairs`` as it is, so a connected instance gets the unsplit
+    solve's pairs bit for bit.  Otherwise ``solved`` (None: a dict of this
+    call) maps a component, as its qubit count, relabelled supports and
+    action shapes and bytes, to its pairs; a component found there is not
+    solved again, so the equal gadget copies of a reduction's output share
+    one solve, also across calls on one route that pass the same dict.
+    """
+    groups = _components(supports)
+    qubits = [sorted({q for j in group for q in supports[j]}) for group in groups]
+    widest = max(map(len, qubits), default=0)
+    route = method
+    if method == "auto":
+        route = "dense" if widest <= config.DENSE_CUTOFF else "krylov"
+    if route == "dense":
+        try:
+            _check_method(widest, "dense")
+        except CapacityError as exc:
+            raise CapacityError(
+                f"{what} has a connected component of {widest} qubits: {exc}"
+            ) from None
+    if groups and widest == num_qubits and len(groups[0]) == len(supports):
+        return route, list(_ground_pairs(num_qubits, supports, actions, route))
+    count = len(actions[0]) if actions else 1
+    solved = {} if solved is None else solved
+    parts = []
+    for group, group_qubits in zip(groups, qubits):
+        local = {q: i for i, q in enumerate(group_qubits)}
+        group_supports = [tuple(local[q] for q in supports[j]) for j in group]
+        group_actions = [actions[j] for j in group]
+        key = (
+            len(group_qubits),
+            tuple(group_supports),
+            tuple((a.shape, a.tobytes()) for a in group_actions),
+        )
+        if key not in solved:
+            try:
+                solved[key] = tuple(zip(*_ground_pairs(
+                    len(group_qubits), group_supports, group_actions, route
+                )))
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"{what}, connected component on qubits {group_qubits}: {exc}",
+                    best_lambda0=exc.best_lambda0,
+                    best_vector=exc.best_vector,
+                ) from None
+        parts.append(solved[key])
+    lambdas = np.zeros(count)
+    for support, action in zip(supports, actions):
+        if not support:
+            lambdas += (action.real ** 2 + action.imag ** 2).sum(axis=(1, 2))
+    # One (components, instances) array each rather than one numpy update per
+    # component: the pinned energy of figure-b's k = 4 output (nine
+    # components) took 426-430 us so against 458-467 us (one OpenBLAS thread).
+    lambdas += np.array([lams for lams, _, _ in parts]).reshape(-1, count).sum(axis=0)
+    squares = np.square([res for _, _, res in parts]).reshape(-1, count).sum(axis=0)
+    states = [None] * count
+    if vectors:
+        product = np.ones((count, 1), dtype=np.complex128)
+        for _, vecs, _ in parts:
+            product = (product[:, :, None] * np.array(vecs)[:, None, :]).reshape(count, -1)
+        states = np.zeros((count, 1 << num_qubits), dtype=np.complex128)
+        order = [q for group_qubits in qubits for q in group_qubits]
+        states[:, kernels.fiber_layout(num_qubits, order)[1]] = product
+    return route, list(zip(lambdas.tolist(), states, np.sqrt(squares).tolist()))
 
 
 def full_spectrum(instance: QsatInstance) -> np.ndarray:
@@ -677,10 +803,10 @@ def _decide(num_qubits, supports, actions, method="auto") -> list:
     per instance; ``actions`` are as in ``_local_nullspace_basis``.  An
     instance that leaves the stack there is decided alone.  The instances
     that no witness decides are tagged from the pairs of the ground-state
-    stage ``_ground_pairs``.
+    stage ``_component_pairs``.
     """
     n, m = num_qubits, len(supports)
-    route = _route(n, method)
+    _check_method(n, method)
     verdicts = [None] * (len(actions[0]) if m else 1)
     todo = np.arange(len(verdicts))
     dim = psi = None
@@ -697,9 +823,6 @@ def _decide(num_qubits, supports, actions, method="auto") -> list:
         if len(todo) < len(verdicts):
             for t in np.setdiff1d(np.arange(len(verdicts)), todo):
                 verdicts[t] = _decide(n, supports, [a[t:t + 1] for a in actions], method)[0]
-    if not m:
-        # No terms: energy 0, reported under the route that would have run.
-        return [SatVerdict(SATISFIABLE, 0.0, dim, route)]
     if witness and psi is not None:
         energies = _energies(n, supports, [a[todo] for a in actions], psi)
         sat = energies <= sat_tolerance(m)
@@ -708,7 +831,7 @@ def _decide(num_qubits, supports, actions, method="auto") -> list:
         todo = todo[~sat]
     if not len(todo):
         return verdicts
-    pairs = _ground_pairs(n, supports, [a[todo] for a in actions], route)
+    route, pairs = _component_pairs(n, supports, [a[todo] for a in actions], method)
     for t, (lam, _, _) in zip(todo, pairs):
         verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, route)
     return verdicts
@@ -773,66 +896,18 @@ def _pin(num_qubits, supports, actions, fixed):
     return num_qubits - len(fixed), pinned_supports, pinned_actions
 
 
-def _components(supports) -> list:
-    """The connected components of a set of terms, as lists of term indices
-    in input order: two terms are connected when they share a qubit
-    (union-find over the qubits).  A term on no qubits is in none."""
-    parent = {}
-
-    def root(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    for support in supports:
-        for q in support:
-            parent.setdefault(q, q)
-        for q in support[1:]:
-            parent[root(q)] = root(support[0])
-    groups = {}
-    for j, support in enumerate(supports):
-        if support:
-            groups.setdefault(root(support[0]), []).append(j)
-    return list(groups.values())
-
-
 def _pinned_energy(num_qubits, supports, actions, fixed, what, solved=None) -> float:
-    """The ground energy of a stack of one restricted as in ``_pin``, as
-    the sum over its connected components (``_components``), each solved
-    densely on its own qubits under ``_route``'s dense cap.  A term whose
-    pinned action is zero is left out, so it links no qubits; a term left
-    on no qubits adds ||A e_b||^2 and an idle qubit adds 0.  ``what`` names
-    the restriction when a component is over the cap.
-
-    ``solved`` maps a component, as its qubit count, relabelled supports
-    and action shapes and bytes, to its energy; a component found there is
-    not solved again, so the equal gadget copies of a reduction's output
-    share one solve across calls that pass the same dict."""
-    solved = {} if solved is None else solved
-    _, supports, actions = _pin(num_qubits, supports, actions, fixed)
+    """The ground energy of a stack of one restricted as in ``_pin``, split
+    into connected components by ``_component_pairs`` on the dense route,
+    under its dense cap on each component (``what`` names the restriction
+    when one is over it) and with its ``solved`` dict.  A term whose pinned
+    action is zero is left out, so it links no qubits."""
+    free, supports, actions = _pin(num_qubits, supports, actions, fixed)
     kept = [j for j, action in enumerate(actions) if action.any()]
-    supports, actions = [supports[j] for j in kept], [actions[j] for j in kept]
-    energy = sum((float(np.vdot(a, a).real) for s, a in zip(supports, actions) if not s), 0.0)
-    for group in _components(supports):
-        qubits = sorted({q for j in group for q in supports[j]})
-        try:
-            _route(len(qubits), "dense")
-        except CapacityError as exc:
-            raise CapacityError(
-                f"{what} has a connected component of {len(qubits)} qubits: {exc}"
-            ) from None
-        local = {q: i for i, q in enumerate(qubits)}
-        group_supports = [tuple(local[q] for q in supports[j]) for j in group]
-        group_actions = [actions[j] for j in group]
-        key = (
-            len(qubits),
-            tuple(group_supports),
-            tuple((a.shape, a.tobytes()) for a in group_actions),
-        )
-        if key not in solved:
-            solved[key] = next(_ground_pairs(len(qubits), group_supports, group_actions, "dense"))[0]
-        energy += solved[key]
+    _, ((energy, _, _),) = _component_pairs(
+        free, [supports[j] for j in kept], [actions[j] for j in kept], "dense", what=what,
+        solved=solved,
+    )
     return energy
 
 
@@ -848,5 +923,5 @@ def restricted_ground_energy(instance: QsatInstance, fixed) -> float:
         if bit not in (0, 1):
             raise ArgumentError(f"bit value for qubit {qubit} must be 0 or 1")
     free, supports, actions = _pin(n, instance.supports(), _actions(instance.terms), fixed)
-    _route(free, "dense")
+    _check_method(free, "dense")
     return next(_ground_pairs(free, supports, actions, "dense"))[0]

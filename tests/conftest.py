@@ -78,6 +78,28 @@ def near_identity_pair() -> qk.QsatInstance:
     )
 
 
+def widest_component(instance: qk.QsatInstance) -> int:
+    """Qubits in the largest connected component of an instance's terms,
+    two terms being connected when they share a qubit; found by merging
+    qubit sets, not by the package's union-find.  0 with no terms."""
+    groups: list[set] = []
+    for support in instance.supports():
+        merged = set(support)
+        for group in [g for g in groups if g & merged]:
+            merged |= group
+            groups.remove(group)
+        groups.append(merged)
+    return max(map(len, groups), default=0)
+
+
+def linked_figure_b(num_qubits: int) -> qk.QsatInstance:
+    """figure-b with singlet terms chaining qubit 2 to every further qubit:
+    unsatisfiable (figure-b is a sub-sum) and one connected component on
+    the whole register."""
+    chain = [qk.singlet_term(q, q + 1) for q in range(2, num_qubits - 1)]
+    return qk.QsatInstance(num_qubits, list(qk.figure_b().terms) + chain)
+
+
 def random_supports(rng: np.random.Generator, num_qubits: int, num_terms: int, k: int):
     """Draw ``num_terms`` supports of size ``k`` over ``num_qubits`` qubits."""
     return [

@@ -15,7 +15,7 @@ import pytest
 import qsatkit as qk
 from qsatkit import cli, reduction, spectral
 
-from conftest import near_identity_pair
+from conftest import linked_figure_b, near_identity_pair, widest_component
 
 
 def run_cli(capsys, *argv):
@@ -74,7 +74,8 @@ class TestSolve:
 
     def test_reports_the_route_that_ran(self, capsys, tmp_path, figure_b):
         # A checked null-space witness decides satisfiable inputs; the
-        # unsatisfiable ones take the ground-energy route of their size.
+        # unsatisfiable ones take the ground-energy route of their widest
+        # connected component: figure-b padded with idle qubits stays dense.
         path = tmp_path / "ten.json"
         chain = [qk.singlet_term(q, q + 1) for q in range(0, 10, 2)]
         qk.save_instance(path, qk.QsatInstance(10, chain))
@@ -87,6 +88,13 @@ class TestSolve:
         padded = tmp_path / "ten-frustrated.json"
         qk.save_instance(padded, qk.QsatInstance(10, figure_b.terms))
         code, out, _ = run_cli(capsys, "solve", str(padded), "--json")
+        assert code == 1
+        assert json.loads(out)["method"] == "dense"
+        linked = tmp_path / "ten-linked.json"
+        inst = linked_figure_b(10)
+        assert widest_component(inst) == 10 > qk.config.DENSE_CUTOFF
+        qk.save_instance(linked, inst)
+        code, out, _ = run_cli(capsys, "solve", str(linked), "--json")
         assert code == 1
         assert json.loads(out)["method"] == "krylov"
         code, out, _ = run_cli(capsys, "solve", "builtin:figure-b", "--json")
@@ -127,7 +135,9 @@ class TestSolve:
             f"error: {path}: {entry} is an integer too large for a float"
         ]
 
-    @pytest.mark.parametrize("num_qubits, route", [(3, "dense"), (12, "krylov")])
+    # No terms means no connected component: the widest has 0 qubits, so
+    # auto reports the dense route at any register size.
+    @pytest.mark.parametrize("num_qubits, route", [(3, "dense"), (12, "dense")])
     def test_empty_file_reports_the_auto_route(self, capsys, tmp_path, num_qubits, route):
         path = tmp_path / "empty.json"
         qk.save_instance(path, qk.QsatInstance(num_qubits, []))
@@ -307,6 +317,31 @@ class TestReduce:
             payload["penalty_constant"]
         )
         assert out_path.exists()
+
+    @pytest.mark.parametrize("target_k", [21, 64, 2000])
+    def test_locality_above_the_support_limit_is_refused_before_padding(
+            self, capsys, tmp_path, target_k):
+        # A padded term holds 2^k amplitudes: 32 MiB at k = 21, and more than
+        # numpy can index at 64.  Nothing of that size may be allocated.
+        assert target_k > qk.config.max_qubits()
+        out_path = tmp_path / "reduced.json"
+        argv = ("reduce", "builtin:figure-a", "--target-k", str(target_k),
+                "--out", str(out_path))
+        run_cli(capsys, *argv)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_USAGE == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: target locality {target_k} exceeds the support limit of "
+            f"{qk.config.max_qubits()} qubits"
+        ]
+        assert peak < 1 << 20
+        assert not out_path.exists()
 
     def test_satisfiable_core_exits_four(self, capsys, pair_file):
         code, _, err = run_cli(

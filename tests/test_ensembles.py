@@ -13,7 +13,7 @@ from scipy.stats import kstest
 
 import qsatkit as qk
 from qsatkit.ensembles import _draw
-from qsatkit.spectral import _decide
+from qsatkit.spectral import _actions, _decide, _ground_pairs
 
 
 def trial_instance(num_qubits, supports, seed, trial):
@@ -153,7 +153,10 @@ class TestSampleEnsemble:
         # 17 of seed 455, the same stream, in the second stack at n = 6.
         (3, [(0, 1), (0, 1), (0, 1), (1, 2)], 20, 470),
         (6, [(0, 1), (0, 1), (0, 1), (1, 2)], 70, 455),
-    ], ids=["sat-chain", "unsat-graph", "indeterminate", "indeterminate-in-second-stack"])
+        # A doubled-edge triangle, a chain and two idle qubits, scattered.
+        (8, [(5, 1), (1, 6), (5, 6), (6, 5), (0, 3), (3, 7)], 40, 17),
+    ], ids=["sat-chain", "unsat-graph", "indeterminate", "indeterminate-in-second-stack",
+            "disconnected"])
     def test_stacks_tally_like_one_verdict_per_trial_on_fixed_structures(
             self, num_qubits, supports, trials, seed):
         result = qk.sample_ensemble(num_qubits, supports, trials, seed)
@@ -180,6 +183,27 @@ class TestSampleEnsemble:
         assert [v.lambda0 for v in verdicts] == [
             qk.decide_sat(trial_instance(n, supports, 5, trial)).lambda0 for trial in range(4)
         ]
+
+    def test_disconnected_trials_split_like_the_unsplit_solve(self, monkeypatch):
+        # Two doubled-edge triangles and an idle qubit: each stack splits
+        # into its two components on the dense route, and each trial's
+        # lambda0 is the whole register's dense one.
+        n, supports = 7, [(0, 1), (1, 2), (0, 2), (0, 2), (3, 4), (4, 5), (3, 5), (3, 5)]
+        verdicts = []
+
+        def recorded(*args):
+            stack = _decide(*args)
+            verdicts.extend(stack)
+            return stack
+
+        monkeypatch.setattr(qk.ensembles, "_decide", recorded)
+        result = qk.sample_ensemble(n, supports, 30, seed=9)
+        assert tally(result) == per_trial_tally(n, supports, 30, 9) == (0, 30, 0)
+        assert [v.method for v in verdicts] == ["dense"] * 30
+        for trial, verdict in enumerate(verdicts):
+            inst = trial_instance(n, supports, 9, trial)
+            (whole, _, _), = _ground_pairs(n, inst.supports(), _actions(inst.terms), "dense")
+            assert abs(verdict.lambda0 - whole) <= 1e-10
 
     @pytest.mark.parametrize("cutoff", [7, 8])
     def test_stack_size_does_not_follow_the_dense_cutoff(self, monkeypatch, cutoff):

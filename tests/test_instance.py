@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qsatkit as qk
 
-from conftest import random_instance
+from conftest import linked_figure_b, random_instance, widest_component
 
 
 class TestRankOneTerm:
@@ -136,8 +136,10 @@ class TestValidateOnce:
         assert calls == []
 
     def test_a_krylov_verdict_does_not_validate(self, figure_b, calls):
-        # The Krylov route runs on the instance decide_sat was handed.
-        above = qk.QsatInstance(qk.config.DENSE_CUTOFF + 1, figure_b.terms)
+        # The Krylov route runs on the instance decide_sat was handed; auto
+        # takes it when the widest connected component is above the cutoff.
+        above = linked_figure_b(qk.config.DENSE_CUTOFF + 1)
+        assert widest_component(above) > qk.config.DENSE_CUTOFF
         calls.clear()
         for inst, method in ((figure_b, "krylov"), (above, "auto")):
             verdict = qk.decide_sat(inst, method=method)

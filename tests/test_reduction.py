@@ -236,6 +236,17 @@ class TestPadWithDummies:
         with pytest.raises(qk.ArgumentError):
             qk.pad_with_dummies(term, 3, (1,))
 
+    def test_locality_above_the_support_limit_is_refused(self, monkeypatch):
+        # Checked before the fresh qubits, as the 2^k amplitudes would be
+        # allocated before validation could refuse the term.
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "3")
+        term = qk.singlet_term(0, 1)
+        assert qk.pad_with_dummies(term, 3, (2,)).k == 3
+        with pytest.raises(qk.ArgumentError, match="support limit of 3"):
+            qk.pad_with_dummies(term, 4, (2, 3))
+        with pytest.raises(qk.ArgumentError, match="support limit of 3"):
+            qk.pad_with_dummies(term, 64, ())
+
 
 class TestExtractMinimalCore:
     def test_triangle_is_already_minimal(self, figure_b, figure_b_core):

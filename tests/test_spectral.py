@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qsatkit as qk
@@ -17,11 +17,13 @@ import qsatkit as qk
 from conftest import (
     KERNELS,
     embed_matrix,
+    linked_figure_b,
     mixed_instances,
     near_identity_pair,
     oracle_lambda0,
     oracle_matrix,
     random_instance,
+    widest_component,
 )
 from qsatkit import kernels, spectral
 from qsatkit.spectral import _actions, _local_nullspace_basis, _null_directions, sat_tolerance
@@ -93,6 +95,38 @@ def _masked_ground_energy(inst, fixed):
         mask &= ((idx >> (n - 1 - qubit)) & 1) == bit
     sel = np.flatnonzero(mask)
     return spectral._dense_ground_pair(qk.assemble_dense(inst)[np.ix_(sel, sel)][None])[0][0]
+
+
+def _moved(inst, image, num_qubits):
+    """``inst`` on a ``num_qubits`` register, its qubit q sent to image[q]."""
+    terms = []
+    for term in inst.terms:
+        support = tuple(int(image[q]) for q in term.support)
+        if isinstance(term, qk.RankOneTerm):
+            terms.append(qk.RankOneTerm(support, term.amplitudes))
+        else:
+            terms.append(qk.GeneralTerm(support, term.matrix))
+    return qk.QsatInstance(num_qubits, terms)
+
+
+@st.composite
+def split_instances(draw):
+    """Two mixed instances on disjoint qubits of one register, with up to
+    two idle qubits and the qubits shuffled: several components, in no
+    particular qubit order, each also of any shape ``mixed_instances``
+    draws."""
+    first, second = draw(mixed_instances(max_qubits=3)), draw(mixed_instances(max_qubits=3))
+    n = first.num_qubits + second.num_qubits + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n)))
+    placed = _moved(first, order, n).terms + _moved(second, order[first.num_qubits:], n).terms
+    return qk.QsatInstance(n, placed)
+
+
+def _unsplit_pair(inst, route):
+    """The ground-state stage on the whole register, with no split."""
+    return next(spectral._ground_pairs(
+        inst.num_qubits, inst.supports(), _actions(inst.terms), route
+    ))
 
 
 @st.composite
@@ -529,13 +563,15 @@ class TestDecideSat:
         assert qk.decide_sat(qk.QsatInstance(2, [])).tag == qk.SATISFIABLE
 
     @pytest.mark.parametrize("k, terms_per_qubit, seed, frustrated", [
-        (3, 2, 1, True), (2, 1, 3, False), (3, 2, 3, False),
+        (3, 2, 1, True), (2, 2, 3, False), (3, 2, 3, False),
     ], ids=["frustrated", "haar-k2", "haar-k3"])
     def test_unsatisfiable_instances_above_the_cutoff_go_krylov(
             self, k, terms_per_qubit, seed, frustrated):
-        # One qubit above the dense cutoff and no witness exists, so Krylov
-        # decides, with the dense route's tag and ground energy.  The k = 2
-        # instance is near the edge: lambda0 = 4.3e-3 at n = 8, 5.2e-3 at 9.
+        # One connected component one qubit above the dense cutoff and no
+        # witness exists, so Krylov decides, with the dense route's tag and
+        # ground energy.  A k = 2 instance needs more terms than qubits to
+        # be connected and unsatisfiable (a component with one cycle is
+        # generically satisfiable); at m = 2n, lambda0 = 0.54.
         n = qk.config.DENSE_CUTOFF + 1
         rng = np.random.Generator(np.random.Philox(key=seed))
         if frustrated:
@@ -543,6 +579,7 @@ class TestDecideSat:
             inst = qk.QsatInstance(n, qk.figure_b().terms + extra)
         else:
             inst = random_instance(rng, n, terms_per_qubit * n, k=k)
+        assert widest_component(inst) == n
         verdict = qk.decide_sat(inst)
         dense = qk.decide_sat(inst, method="dense")
         assert verdict.method == "krylov"
@@ -552,8 +589,10 @@ class TestDecideSat:
     def test_eight_qubit_verdicts_near_the_threshold_match_the_dense_route(self):
         # Haar k = 3 at m = n to 3n/2 straddles satisfiability at n = 8.
         # auto decides the satisfiable ones by a witness and hands the rest
-        # to Krylov (DENSE_CUTOFF = 7); no solve may fail to converge, and
-        # every tag is the forced dense route's.
+        # to Krylov when their widest connected component is above
+        # DENSE_CUTOFF = 7, and to dense otherwise (an idle qubit leaves 7);
+        # no solve may fail to converge, and every tag is the forced dense
+        # route's.
         n, methods = 8, []
         for seed in range(200):
             rng = np.random.Generator(np.random.Philox(key=seed))
@@ -563,8 +602,10 @@ class TestDecideSat:
             assert verdict.tag == dense.tag, seed
             if verdict.method != "nullspace":
                 assert abs(verdict.lambda0 - dense.lambda0) <= 1e-10, seed
+                above = widest_component(inst) > qk.config.DENSE_CUTOFF
+                assert verdict.method == ("krylov" if above else "dense"), seed
             methods.append(verdict.method)
-        assert set(methods) == {"nullspace", "krylov"}
+        assert set(methods) == {"nullspace", "krylov", "dense"}
 
     def test_energy_between_bands_is_indeterminate(self):
         verdict = qk.decide_sat(near_identity_pair())
@@ -824,6 +865,102 @@ class TestRestrictedGroundEnergy:
         inst = _singlet_chain(qk.config.DENSE_MAX_QUBITS + 1)
         with pytest.raises(qk.ArgumentError, match="out of range"):
             qk.restricted_ground_energy(inst, {inst.num_qubits: 0})
+
+
+class TestComponents:
+    """Every ground energy and verdict splits into connected components
+    (``_component_pairs``): the sum of the components' pairs must be the
+    unsplit solve's, and a connected instance must be that solve."""
+
+    @staticmethod
+    def _assert_a_ground_state(inst, result):
+        vec = result.ground_vector
+        assert vec.shape == (1 << inst.num_qubits,)
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
+        actual = np.linalg.norm(qk.apply_instance(inst, vec) - result.lambda0 * vec)
+        assert actual <= qk.config.RESIDUAL_TOL
+        assert result.residual <= qk.config.RESIDUAL_TOL
+        # The reported residual is sqrt(sum r_c^2) of the components' pairs.
+        assert abs(actual - result.residual) <= 1e-10
+
+    @given(split_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_dense_split_matches_the_unsplit_solve(self, inst):
+        result = qk.ground_energy(inst, method="dense")
+        lam, _, _ = _unsplit_pair(inst, "dense")
+        assert result.method == "dense"
+        assert abs(result.lambda0 - lam) <= 1e-10
+        self._assert_a_ground_state(inst, result)
+        assert abs(qk.ground_energy(inst).lambda0 - lam) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_krylov_split_matches_the_unsplit_solve(self, seed):
+        # Blocks of 4 and 3 qubits and two idle qubits, scattered over 9.
+        rng = np.random.Generator(np.random.Philox(key=900 + seed))
+        order = rng.permutation(9)
+        blocks = [random_instance(rng, 4, 5), random_instance(rng, 3, 4)]
+        inst = qk.QsatInstance(
+            9, _moved(blocks[0], order, 9).terms + _moved(blocks[1], order[4:], 9).terms
+        )
+        assert widest_component(inst) <= 4
+        result = qk.ground_energy(inst, method="krylov")
+        lam, _, _ = _unsplit_pair(inst, "krylov")
+        assert result.method == "krylov"
+        assert abs(result.lambda0 - lam) <= 1e-8
+        assert abs(result.lambda0 - _unsplit_pair(inst, "dense")[0]) <= 1e-8
+        self._assert_a_ground_state(inst, result)
+
+    def test_auto_routes_by_the_widest_component(self, figure_b):
+        # figure-b padded to 12 qubits is one 3-qubit component: dense, with
+        # the unpadded lambda0; a component above the cutoff goes Krylov.
+        padded = qk.QsatInstance(12, figure_b.terms)
+        result = qk.ground_energy(padded)
+        assert result.method == qk.decide_sat(padded).method == "dense"
+        assert abs(result.lambda0 - TRIANGLE_LAMBDA0) <= 1e-10
+        self._assert_a_ground_state(padded, result)
+        linked = linked_figure_b(qk.config.DENSE_CUTOFF + 1)
+        assert qk.ground_energy(linked).method == qk.decide_sat(linked).method == "krylov"
+
+    def test_no_terms_is_the_zero_state_on_the_dense_route(self):
+        for method, route in (("auto", "dense"), ("dense", "dense"), ("krylov", "krylov")):
+            result = qk.ground_energy(qk.QsatInstance(12, []), method=method)
+            assert (result.lambda0, result.e0, result.residual) == (0.0, 0.0, 0.0)
+            assert result.method == route
+            assert result.ground_vector[0] == 1.0
+            assert np.count_nonzero(result.ground_vector) == 1
+
+    @given(mixed_instances(), st.sampled_from(["dense", "krylov"]))
+    @settings(max_examples=60, deadline=None)
+    def test_a_connected_instance_is_the_unsplit_solve_bit_for_bit(self, inst, route):
+        # One component on the whole register passes straight through: no
+        # relabelling, embedding or sum touches a bit of its pair.
+        assume(inst.num_terms and widest_component(inst) == inst.num_qubits)
+        lam, vec, residual = _unsplit_pair(inst, route)
+        result = qk.ground_energy(inst, method=route)
+        assert result.lambda0 == lam
+        assert np.array_equal(result.ground_vector, vec)
+        assert result.residual == residual
+        verdict = qk.decide_sat(inst, method=route)
+        assert verdict.lambda0 == lam
+
+    def test_a_failed_component_is_named_with_its_pair(self, monkeypatch, figure_b):
+        # figure-b on qubits 0, 2 and 4, a singlet on 1 and 3, qubit 5 idle:
+        # the 2-qubit component's pair misses the residual bound.
+        inst = _moved(figure_b, (0, 2, 4), 6)
+        inst = qk.QsatInstance(6, inst.terms + (qk.singlet_term(1, 3),))
+        alone = qk.ground_energy(qk.QsatInstance(2, [qk.singlet_term(0, 1)]))
+        pair = spectral._dense_ground_pair
+
+        def flawed(stack):
+            lambdas, vectors, residuals = pair(stack)
+            return lambdas, vectors, residuals + (stack.shape[-1] == 4)
+
+        monkeypatch.setattr(spectral, "_dense_ground_pair", flawed)
+        for run in (qk.ground_energy, qk.decide_sat):
+            with pytest.raises(qk.ConvergenceError, match=r"on qubits \[1, 3\]") as exc:
+                run(inst)
+            assert exc.value.best_lambda0 == alone.lambda0
+            assert np.array_equal(exc.value.best_vector, alone.ground_vector)
 
 
 class TestGroundStage:
