@@ -24,15 +24,6 @@ DEFAULT_MAX_QUBITS = 20
 # and 0.48x at w = 8 (0.28-1.82x).
 DENSE_CUTOFF = 7
 
-# Largest register any dense routine accepts: forced method="dense",
-# assemble_dense, the null-space intersection, and verify_reduction's input
-# and each connected component of its sector solves.  Forced dense is
-# refused on the register, even where its components are narrower.
-# Computed, not run: at 13 qubits the 8192 x 8192 complex matrix is 1 GiB
-# and about 3 GiB with eigh's working copy; at 14 it would be 4 GiB plus a
-# copy, more than an 8 GiB machine holds.
-DENSE_MAX_QUBITS = 13
-
 # decide_sat double-checks its verdict against the null-space oracle up to
 # this size.  The oracle keeps its basis on the touched qubits only and takes
 # one SVD per term.  On qsatbench-style instances (k = 2, m = 3n/2 and k = 3,
@@ -109,15 +100,10 @@ def physical_memory():
     return page * pages if page > 0 and pages > 0 else None
 
 
-def check_per_qubit_list(num_qubits, what):
-    """Raise CapacityError if a list with one entry per qubit of a
-    ``num_qubits`` register, with the tuple copy its caller returns, would
-    exceed physical memory: 16 bytes a qubit, an 8-byte slot in each.  A
-    declared register has no ceiling of its own outside the solvers, so this
-    is checked before such a list is built."""
-    need, have = 16 * num_qubits, physical_memory()
+def require_memory(need, what):
+    """Raise CapacityError, before anything is allocated, when ``need`` bytes
+    exceed this machine's physical memory; ``what`` names the work.  Where
+    the operating system does not report its memory, nothing is refused."""
+    have = physical_memory()
     if have is not None and need > have:
-        raise CapacityError(
-            f"{what} on {num_qubits} qubits would take {need} bytes; "
-            f"this machine has {have}"
-        )
+        raise CapacityError(f"{what} would take {need} bytes; this machine has {have}")

@@ -328,8 +328,10 @@ def degree_profile(instance: QsatInstance) -> DegreeProfile:
     Raises CapacityError before counting when a list with an entry per
     declared qubit would exceed physical memory.
     """
-    config.check_per_qubit_list(instance.num_qubits, "a degree profile")
-    counts = [0] * instance.num_qubits
+    n = instance.num_qubits
+    # 16 bytes a qubit: an 8-byte slot in the list and in its tuple copy.
+    config.require_memory(16 * n, f"a degree profile on {n} qubits")
+    counts = [0] * n
     for term in instance.terms:
         for q in term.support:
             counts[q] += 1

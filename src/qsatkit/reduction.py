@@ -24,7 +24,6 @@ import numpy as np
 from . import config
 from .errors import (
     ArgumentError,
-    CapacityError,
     IndeterminateError,
     PreconditionError,
     ValidationError,
@@ -404,9 +403,8 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
 
     Ground energies agree below c_k and the output never dips below c_k
     otherwise; the adjusted promise gap is min(gap, c_k).  Construction has
-    no size ceiling — only verification does — but it raises CapacityError
-    before building its per-qubit role list when that list would exceed
-    physical memory.
+    no size ceiling, but it raises CapacityError before building its
+    per-qubit role list when that list would exceed physical memory.
     """
     if target_k < 1:
         raise ArgumentError("target locality must be positive")
@@ -417,9 +415,11 @@ def build_reduction(q: QsatInstance, target_k: int, r: MinimalCore) -> Reduction
         raise ArgumentError(f"instance is {k}-local; cannot reduce to locality {target_k}")
     gadget = build_enforcing_gadget(r)
     penalty = gadget.penalty_constant
-    config.check_per_qubit_list(q.num_qubits, "a reduction's role list")
-    roles = [ROLE_WORK] * q.num_qubits
-    next_free = q.num_qubits
+    n = q.num_qubits
+    # 16 bytes a qubit: an 8-byte slot in the list and in its tuple copy.
+    config.require_memory(16 * n, f"a reduction's role list on {n} qubits")
+    roles = [ROLE_WORK] * n
+    next_free = n
     terms_out = []
     for term in q.terms:
         pad = target_k - term.k
@@ -546,22 +546,20 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     The input's energy comes from ``decide_sat``: a satisfiable instance is
     decided by a null-space witness with no eigensolver (``"nullspace"``),
     whose energy is within ``sat_tolerance`` of 0; any other gets the
-    ground energy of the ``auto`` route, ``"dense"`` or ``"krylov"``.  The
-    input must be within ``config.DENSE_MAX_QUBITS``.
+    ground energy of the ``auto`` route, ``"dense"`` or ``"krylov"``.
 
     When the commutation check holds, the output's energy comes from its
     dummies' Z-sectors (``"sectors"``, see ``_sector_bounds``): the energy
     a of the sector with every dummy at |0> is ``reduced_energy`` and a
     lower bound on every other sector is ``reduced_floor``, so
     reduced_floor <= lambda0(T) <= reduced_energy.  Only each connected
-    component of a pinned solve must be within ``config.DENSE_MAX_QUBITS``,
+    component of a pinned solve must fit in memory as a dense operator,
     not the output: figure-b's output at k = 15 has 211 qubits and
     components of at most 3.  Below the penalty the energy check needs a
     within ``REDUCTION_ENERGY_TOL`` of the input's energy and the floor no
     lower; above it, the floor at the penalty.  An output that fails the
     commutation check has no sectors: its energy comes from ``decide_sat``
-    as the input's does, with ``reduced_floor == reduced_energy``, and the
-    output must be within ``config.DENSE_MAX_QUBITS``.
+    as the input's does, with ``reduced_floor == reduced_energy``.
     """
     t = out.t_instance
     dummies = {i for i, role in enumerate(out.role_map) if role == ROLE_DUMMY}
@@ -575,17 +573,6 @@ def verify_reduction(q: QsatInstance, out: ReductionOutput) -> VerificationRepor
     delta_r = degree_profile(out.gadget.source.core.core).max_degree
     degree_bound = max(delta_q, delta_r + 1, 3)
     degree_ok = delta_t <= degree_bound
-    cap = config.DENSE_MAX_QUBITS
-    if q.num_qubits > cap:
-        raise CapacityError(
-            f"energy verification needs an input of at most {cap} qubits; "
-            f"the input has {q.num_qubits}"
-        )
-    if not commutation_ok and t.num_qubits > cap:
-        raise CapacityError(
-            f"energy verification of an output whose terms do not commute with Z "
-            f"on every dummy needs at most {cap} qubits; the output has {t.num_qubits}"
-        )
     base_verdict = decide_sat(q)
     base = base_verdict.lambda0
     if commutation_ok:

@@ -41,10 +41,12 @@ register whole.
 most ``config.DENSE_CUTOFF`` = 7 qubits and Krylov otherwise: in
 ``BENCH_routes.json`` (written by ``benchmarks/bench_routes.py``, binned by
 the widest component) Krylov took a median 1.43x the dense time at a
-widest component of 7 qubits and 0.49x at 8.  The register is still
-bounded as a whole: no route accepts more than ``config.max_qubits()``
-qubits, and a forced dense route or dense routine no more than
-``config.DENSE_MAX_QUBITS``.
+widest component of 7 qubits and 0.49x at 8.  No solve accepts a register
+above ``config.max_qubits()`` qubits.  Memory has one rule: each route
+compares its own byte estimate with physical memory
+(``config.require_memory``) before it allocates, per component when a
+stack is split: ``_dense_bytes`` in ``_assemble_stack``, which every dense
+operator passes through, and ``_krylov_bytes`` in ``_krylov_ground_pair``.
 
 The stages work on a stack of instances that share one structure, with a
 leading instance axis; ``ground_energy`` and ``decide_sat`` are stacks of
@@ -116,12 +118,7 @@ def sat_tolerance(num_terms: int) -> float:
 
 def assemble_dense(instance: QsatInstance) -> np.ndarray:
     """The full 2^n x 2^n operator, built by embedding each term's matrix."""
-    n = instance.num_qubits
-    if n > config.DENSE_MAX_QUBITS:
-        raise CapacityError(
-            f"dense assembly is limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
-        )
-    return _assemble_stack(n, instance.supports(), _actions(instance.terms))[0]
+    return _assemble_stack(instance.num_qubits, instance.supports(), _actions(instance.terms))[0]
 
 
 def _assemble_stack(num_qubits, supports, actions):
@@ -134,17 +131,42 @@ def _assemble_stack(num_qubits, supports, actions):
 
     ``kernels.fiber_layout`` lists the register indices of every fiber of a
     term; one fancy-indexed addition per row scatters it onto all fibers of
-    all instances at once.
+    all instances at once.  The addition gathers a copy of the entries it
+    adds to, so rows go in pieces whose products and copy take no more than
+    the stack: a term on the whole register in two halves, any other whole.
+    A stack whose ``_dense_bytes`` exceed physical memory raises
+    CapacityError before anything is allocated.
     """
     dim = 1 << num_qubits
-    q = np.zeros((len(actions[0]) if actions else 1, dim, dim), dtype=np.complex128)
+    count = len(actions[0]) if actions else 1
+    config.require_memory(_dense_bytes(count, dim), f"the dense route on {num_qubits} qubits")
+    q = np.zeros((count, dim, dim), dtype=np.complex128)
     for support, action in zip(supports, actions):
         bases, offsets = kernels.fiber_layout(num_qubits, support)
         idx = bases[:, None] + offsets
+        width = len(offsets)
+        step = max(1, dim * dim // (width + dim))
         for a in action.swapaxes(0, 1):
-            gram = a.conj()[:, :, None] * a[:, None, :]
-            q[:, idx[:, :, None], idx[:, None, :]] += gram[:, None]
+            for i in range(0, width, step):
+                gram = a[:, i:i + step, None].conj() * a[:, None, :]
+                q[:, idx[:, i:i + step, None], idx[:, None, :]] += gram[:, None]
     return q
+
+
+def _dense_bytes(count, size):
+    """Bytes a dense solve of a stack of ``count`` size x size operators
+    holds at once, from ``_assemble_stack`` to its last pair: the stack
+    twice (with assembly's pieces, or with a finiteness mask and then
+    ``heevr``'s working copy of one operator), a vector per operator and
+    four more (heevr's outputs, a residual), numpy's two fancy-indexing
+    buffers of 8,192 complex entries (its default ``np.getbufsize()``), and
+    heevr's workspace.  Past 2^20 rows the stack alone is 32 TiB, and the
+    workspace query, whose 32-bit sizes overflow from 2^26, is left out."""
+    need = 16 * count * size * (2 * size + 1) + 64 * size + (1 << 18)
+    if size <= 1 << 20:
+        lwork, lrwork, liwork = _heevr_arguments(size)[-3:]
+        need += 16 * lwork + 8 * lrwork + 4 * liwork
+    return need
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -299,12 +321,7 @@ def _krylov_ground_pair(instance):
     """
     n = instance.num_qubits
     dim = 1 << n
-    need, have = _krylov_bytes(instance), config.physical_memory()
-    if have is not None and need > have:
-        raise CapacityError(
-            f"the Lanczos iteration on {n} qubits would take {need} bytes; "
-            f"this machine has {have}"
-        )
+    config.require_memory(_krylov_bytes(instance), f"the Lanczos iteration on {n} qubits")
     applier = kernels.InstanceApplier(instance)
     tol = config.KRYLOV_TOL * instance.num_terms
     # One array rather than a deque of the step vectors: its pages are
@@ -401,17 +418,13 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
 
 def _check_method(n, method):
     """Raise on a ``method`` that cannot run on an ``n``-qubit register: one
-    above ``config.max_qubits()``, an unknown method, or "dense" forced above
-    ``config.DENSE_MAX_QUBITS``.  The route "auto" takes is chosen by
-    ``_component_pairs``, from the widest connected component."""
+    above ``config.max_qubits()``, or an unknown method.  The route "auto"
+    takes is chosen by ``_component_pairs``, from the widest connected
+    component, and each route refuses by its own bytes."""
     if n > config.max_qubits():
         raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
     if method not in ("auto", "dense", "krylov"):
         raise ArgumentError(f"unknown method {method!r}")
-    if method == "dense" and n > config.DENSE_MAX_QUBITS:
-        raise CapacityError(
-            f"dense solves are limited to {config.DENSE_MAX_QUBITS} qubits, got {n}"
-        )
 
 
 def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResult:
@@ -419,8 +432,8 @@ def ground_energy(instance: QsatInstance, method: str = "auto") -> SpectralResul
 
     ``method``: "auto" picks dense when the widest connected component has
     at most ``config.DENSE_CUTOFF`` qubits and the Krylov iteration
-    otherwise; "dense"/"krylov" force a route, and "dense" refuses
-    registers above ``config.DENSE_MAX_QUBITS`` before allocating.  The
+    otherwise; "dense"/"krylov" force a route.  Either refuses, before
+    allocating, a component whose solve would exceed physical memory.  The
     pair comes from ``_component_pairs``: an instance with no terms has
     energy 0 on the all-zeros basis state.
     """
@@ -509,11 +522,11 @@ def _component_pairs(num_qubits, supports, actions, method, vectors=False,
 
     "auto" takes the dense route when the widest component has at most
     ``config.DENSE_CUTOFF`` qubits and Krylov otherwise, and every component
-    takes that route.  A dense route over a component that ``_check_method``
-    refuses (wider than ``config.DENSE_MAX_QUBITS`` or the register ceiling)
-    raises CapacityError, with ``what`` naming the operator.  A component's
-    pair that ``_ground_pairs`` rejects raises ConvergenceError naming the
-    component's qubits and carrying its pair, on those qubits.
+    takes that route.  A component whose solve the route refuses by its
+    bytes raises CapacityError, with ``what`` naming the operator, before
+    that solve allocates.  A component's pair that ``_ground_pairs``
+    rejects raises ConvergenceError naming the component's qubits and
+    carrying its pair, on those qubits.
 
     One component with every term on the whole register goes to
     ``_ground_pairs`` as it is, so a connected instance gets the unsplit
@@ -529,15 +542,17 @@ def _component_pairs(num_qubits, supports, actions, method, vectors=False,
     route = method
     if method == "auto":
         route = "dense" if widest <= config.DENSE_CUTOFF else "krylov"
-    if route == "dense":
+
+    def solve(width, group_supports, group_actions):
         try:
-            _check_method(widest, "dense")
+            return list(_ground_pairs(width, group_supports, group_actions, route))
         except CapacityError as exc:
             raise CapacityError(
-                f"{what} has a connected component of {widest} qubits: {exc}"
+                f"{what} has a connected component of {width} qubits: {exc}"
             ) from None
+
     if groups and widest == num_qubits and len(groups[0]) == len(supports):
-        return route, list(_ground_pairs(num_qubits, supports, actions, route))
+        return route, solve(num_qubits, supports, actions)
     count = len(actions[0]) if actions else 1
     solved = {} if solved is None else solved
     parts = []
@@ -552,9 +567,7 @@ def _component_pairs(num_qubits, supports, actions, method, vectors=False,
         )
         if key not in solved:
             try:
-                solved[key] = tuple(zip(*_ground_pairs(
-                    len(group_qubits), group_supports, group_actions, route
-                )))
+                solved[key] = tuple(zip(*solve(len(group_qubits), group_supports, group_actions)))
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"{what}, connected component on qubits {group_qubits}: {exc}",
@@ -583,7 +596,7 @@ def _component_pairs(num_qubits, supports, actions, method, vectors=False,
 
 
 def full_spectrum(instance: QsatInstance) -> np.ndarray:
-    """All 2^n eigenvalues, ascending (dense sizes only)."""
+    """All 2^n eigenvalues, ascending."""
     return np.linalg.eigvalsh(assemble_dense(instance))
 
 
@@ -752,15 +765,13 @@ def nullspace_witness(instance: QsatInstance, max_bytes=None):
 
 
 def common_nullspace_dim(instance: QsatInstance) -> int:
-    """Dimension of the intersection of the terms' null spaces (see
-    ``nullspace_witness``), for registers up to ``config.DENSE_MAX_QUBITS``."""
-    n = instance.num_qubits
-    if n > config.DENSE_MAX_QUBITS:
-        raise CapacityError(
-            f"null-space intersection is limited to {config.DENSE_MAX_QUBITS} qubits; "
-            "use ground_energy for larger instances"
-        )
-    return nullspace_witness(instance)[0]
+    """Dimension of the intersection of the terms' null spaces, from the
+    local basis of ``nullspace_witness`` with no witness state built.  No
+    array of the basis may exceed physical memory."""
+    basis, touched, _ = _local_nullspace_basis(
+        instance.supports(), _actions(instance.terms), config.physical_memory()
+    )
+    return basis.shape[2] << (instance.num_qubits - len(touched))
 
 
 def _tag(lambda0, num_terms, nullspace_dim):
@@ -899,9 +910,9 @@ def _pin(num_qubits, supports, actions, fixed):
 def _pinned_energy(num_qubits, supports, actions, fixed, what, solved=None) -> float:
     """The ground energy of a stack of one restricted as in ``_pin``, split
     into connected components by ``_component_pairs`` on the dense route,
-    under its dense cap on each component (``what`` names the restriction
-    when one is over it) and with its ``solved`` dict.  A term whose pinned
-    action is zero is left out, so it links no qubits."""
+    each refused by its bytes (``what`` names the restriction when one is
+    refused), with its ``solved`` dict.  A term whose pinned action is zero
+    is left out, so it links no qubits."""
     free, supports, actions = _pin(num_qubits, supports, actions, fixed)
     kept = [j for j, action in enumerate(actions) if action.any()]
     _, ((energy, _, _),) = _component_pairs(
@@ -915,7 +926,8 @@ def restricted_ground_energy(instance: QsatInstance, fixed) -> float:
     """Ground energy over basis states with the given qubits pinned.
 
     ``fixed`` maps qubit index -> bit value; ``_pin``'s restriction is solved
-    densely, with the dense cap on the free qubits, not on the register."""
+    densely, whole, with the register ceiling and the dense route's bytes
+    taken on the free qubits, not on the register."""
     n = instance.num_qubits
     for qubit, bit in fixed.items():
         if not isinstance(qubit, (int, np.integer)) or not 0 <= qubit < n:

@@ -351,8 +351,11 @@ class TestReduce:
         assert code == 4
         assert "satisfiable" in err
 
-    def test_capacity_still_writes_the_construction(self, capsys, tmp_path):
-        # Verification decides the input by decide_sat, up to 13 qubits.
+    def test_capacity_still_writes_the_construction(self, capsys, tmp_path, monkeypatch):
+        # Verification decides the input by decide_sat, which refuses a
+        # register above QSAT_MAX_QUBITS; construction has no ceiling.
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "13")
         wide_path = tmp_path / "wide.json"
         qk.save_instance(wide_path, qk.QsatInstance(14, [qk.singlet_term(0, 13)]))
         out_path = tmp_path / "wide.k3.json"
@@ -364,7 +367,7 @@ class TestReduce:
         assert out_path.exists()
         assert qk.load_instance(out_path).num_qubits == 14 + 1 + 3
         assert "error:" in err
-        assert "the input has 14" in err
+        assert "14 qubits; the ceiling is 13" in err
 
     @pytest.mark.parametrize("figure", ["figure-a", "figure-b"])
     def test_paper_scale_outputs_are_verified(self, capsys, tmp_path, figure):

@@ -221,6 +221,11 @@ class TestSampleEnsemble:
         result = qk.sample_ensemble(num_qubits, supports, 1024, seed=3)
         assert calls == [1024]
         assert result.trials == 1024
+        # On 10 qubits the (T, 2^10) witness states bound the stack, not the
+        # 3 touched qubits: 64 trials.
+        calls.clear()
+        assert qk.sample_ensemble(10, supports, 128, seed=3).trials == 128
+        assert calls == [64, 64]
 
     def test_structures_above_the_ceiling_are_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):

@@ -468,23 +468,25 @@ class TestBuildReduction:
         assert [v.term_index for v in exc.value.report.violations] == [0]
         assert "norm" in exc.value.report.violations[0].message
 
-    def test_construction_has_no_size_ceiling(self, figure_a, figure_b_core):
+    def test_construction_has_no_size_ceiling(self, figure_a, figure_b_core, monkeypatch):
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
         out = qk.build_reduction(figure_a, 3, figure_b_core)
         assert out.t_instance.num_qubits == 3 + 4 * (1 + 3)
         assert out.t_instance.num_terms == 4 + 4 * 5
         assert qk.verify_reduction(figure_a, out).ok
-        # Verification still caps the input, which decide_sat decides whole...
+        # Verification decides the input whole by decide_sat, which a null-space
+        # witness settles on 14 qubits...
         wide = qk.QsatInstance(14, [qk.singlet_term(0, 13)])
-        with pytest.raises(qk.CapacityError, match="the input has 14"):
-            qk.verify_reduction(wide, qk.build_reduction(wide, 3, figure_b_core))
-        # ...and an output with a dummy left in a superposition, which has no
-        # Z-sectors to split.
+        assert qk.verify_reduction(wide, qk.build_reduction(wide, 3, figure_b_core)).ok
+        # ...and so an output with a dummy left in a superposition, which has
+        # no Z-sectors to split, under decide_sat's register ceiling.
         padded = out.t_instance.terms[0]
         spread = np.kron(padded.amplitudes.reshape(-1, 2)[:, 0], np.ones(2) / np.sqrt(2))
         tampered = with_terms(
             out, [qk.RankOneTerm(padded.support, spread), *out.t_instance.terms[1:]]
         )
-        with pytest.raises(qk.CapacityError, match="the output has 19"):
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "18")
+        with pytest.raises(qk.CapacityError, match="19 qubits; the ceiling is 18"):
             qk.verify_reduction(figure_a, tampered)
 
 
@@ -642,7 +644,9 @@ class TestVerifyReduction:
         assert report.ok
         assert abs(report.reduced_floor - 0.9) <= 1e-8
 
-    def test_cap_names_the_component_over_it(self, figure_a, figure_b_core):
+    def test_cap_names_the_component_over_it(self, figure_a, figure_b_core, monkeypatch):
+        # A dense 15-qubit operator alone takes 16 GiB, more than 8 GiB.
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
         out = qk.build_reduction(figure_a, 3, figure_b_core)
         # A chain through every work and ancilla qubit touches no dummy, so
         # the output keeps its Z-sectors, and one component holds all 15.

@@ -195,23 +195,98 @@ class TestAssemble:
         assert np.allclose(q, q.conj().T)
         assert np.linalg.eigvalsh(q)[0] >= -1e-12
 
-    def test_dense_routines_refuse_before_allocating(self):
-        # 14 qubits would need a 4 GiB matrix plus eigh's copy.
-        inst = _singlet_chain(qk.config.DENSE_MAX_QUBITS + 1)
+    def test_dense_routines_refuse_before_allocating(self, monkeypatch):
+        # 14 qubits would need a 4 GiB matrix twice, more than 8 GiB.
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        inst = _singlet_chain(14)
         tracemalloc.start()
         try:
             with pytest.raises(qk.CapacityError):
                 qk.ground_energy(inst, method="dense")
             with pytest.raises(qk.CapacityError):
-                qk.ground_energy(qk.QsatInstance(inst.num_qubits, []), method="dense")
-            with pytest.raises(qk.CapacityError):
                 qk.assemble_dense(inst)
-            with pytest.raises(qk.CapacityError):
-                qk.common_nullspace_dim(inst)
+            # No terms need no operator: only the 2^14 ground vector.
+            empty = qk.ground_energy(qk.QsatInstance(inst.num_qubits, []), method="dense")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert empty.lambda0 == 0.0
+        # The null space keeps its basis on the touched qubits: the chain's
+        # symmetric subspace, n + 1 states.
+        assert qk.common_nullspace_dim(inst) == 15
+        # Past LAPACK's 32-bit workspace sizes the refusal still comes first.
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "31")
+        with pytest.raises(qk.CapacityError, match="dense route on 31 qubits"):
+            qk.ground_energy(_singlet_chain(31), method="dense")
+
+
+class TestDenseMemory:
+    """Every dense operator passes through ``_assemble_stack``, which refuses
+    a stack whose ``_dense_bytes`` exceed physical memory before it
+    allocates anything."""
+
+    @pytest.mark.parametrize("n, count", [(10, 3), (11, 1)])
+    def test_estimate_covers_the_traced_peak(self, n, count):
+        # The term on the whole register scatters the largest pieces, as
+        # large as the stack; the 2-local chain fills in the rest.
+        rng = np.random.Generator(np.random.Philox(key=n))
+        supports = [tuple(range(n))] + [(q, q + 1) for q in range(n - 1)]
+        actions = [
+            np.concatenate([qk.haar_random_term(s, rng).action()[None] for _ in range(count)])
+            for s in supports
+        ]
+        tracemalloc.start()
+        try:
+            pairs = list(spectral._ground_pairs(n, supports, actions, "dense"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = spectral._dense_bytes(count, 1 << n)
+        assert len(pairs) == count
+        assert 0.95 * need < peak <= need
+
+    @pytest.mark.parametrize("entry", [
+        "assemble_dense", "full_spectrum", "operator_dominates", "ground_energy",
+        "decide_sat", "restricted_ground_energy", "_pinned_energy",
+    ])
+    def test_entry_points_refuse_below_their_estimate(self, monkeypatch, entry):
+        # Each call builds 9-qubit operators, 4 MiB each; the pinned ones pin
+        # one qubit of a 10-qubit chain.
+        inst, chain = _singlet_chain(9), _singlet_chain(10)
+        call = {
+            "assemble_dense": lambda: qk.assemble_dense(inst),
+            "full_spectrum": lambda: qk.full_spectrum(inst),
+            "operator_dominates": lambda: qk.operator_dominates(inst, inst),
+            "ground_energy": lambda: qk.ground_energy(inst, method="dense"),
+            "decide_sat": lambda: qk.decide_sat(inst, method="dense"),
+            "restricted_ground_energy": lambda: qk.restricted_ground_energy(chain, {0: 1}),
+            "_pinned_energy": lambda: spectral._pinned_energy(
+                10, chain.supports(), _actions(chain.terms), {0: 1}, "the restriction"
+            ),
+        }[entry]
+        need = spectral._dense_bytes(1, 1 << 9)
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(qk.CapacityError, match="dense route on 9 qubits"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: need)
+        call()
+
+    def test_padded_figure_b_is_its_three_qubit_solve(self, figure_b):
+        # Forced dense splits the 14-qubit register into its one 3-qubit
+        # component, as "auto" does.
+        padded = qk.QsatInstance(14, figure_b.terms)
+        result = qk.ground_energy(padded, method="dense")
+        assert result.lambda0 == qk.ground_energy(figure_b, method="dense").lambda0
+        assert abs(result.lambda0 - TRIANGLE_LAMBDA0) <= 1e-9
+        verdict = qk.decide_sat(padded, method="dense")
+        assert (verdict.tag, verdict.method) == (qk.UNSATISFIABLE, "dense")
 
 
 class TestGroundEnergy:
@@ -541,9 +616,21 @@ class TestNullspace:
         assert dim == expected
         assert peak < 1 << 20
 
-    def test_capacity_points_to_variational_route(self):
+    def test_capacity_points_to_variational_route(self, monkeypatch):
+        # The 15-qubit dimension is computed on the touched qubits; only a
+        # basis array larger than physical memory is refused.
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
         rng = np.random.Generator(np.random.Philox(key=8))
         inst = random_instance(rng, 15, num_terms=2)
+        touched = sorted({q for support in inst.supports() for q in support})
+        local = qk.QsatInstance(len(touched), [
+            qk.RankOneTerm(tuple(touched.index(q) for q in t.support), t.amplitudes)
+            for t in inst.terms
+        ])
+        eigenvalues = np.linalg.eigvalsh(oracle_matrix(local))
+        expected = int(np.count_nonzero(eigenvalues <= 1e-9)) << (15 - len(touched))
+        assert qk.common_nullspace_dim(inst) == expected
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 16)
         with pytest.raises(qk.CapacityError):
             qk.common_nullspace_dim(inst)
 
@@ -861,10 +948,14 @@ class TestRestrictedGroundEnergy:
         reference = np.linalg.eigvalsh(block)[0]
         assert abs(qk.restricted_ground_energy(inst, fixed) - reference) <= 1e-12
 
-    def test_pins_are_checked_before_the_dense_cap(self):
-        inst = _singlet_chain(qk.config.DENSE_MAX_QUBITS + 1)
+    def test_pins_are_checked_before_the_dense_cap(self, monkeypatch):
+        # 14 free qubits would need a 4 GiB matrix twice, more than 8 GiB.
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        inst = _singlet_chain(14)
         with pytest.raises(qk.ArgumentError, match="out of range"):
             qk.restricted_ground_energy(inst, {inst.num_qubits: 0})
+        with pytest.raises(qk.CapacityError, match="dense route on 14 qubits"):
+            qk.restricted_ground_energy(inst, {})
 
 
 class TestComponents:
