@@ -50,7 +50,7 @@ def _check_seed(seed: int) -> None:
         raise ArgumentError(f"seed must be in [0, 2**128), got {seed}")
 
 
-def _generator(seed: int) -> np.random.Generator:
+def _generator(seed: int):
     _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed))
 

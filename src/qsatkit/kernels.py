@@ -101,8 +101,11 @@ def _sparse_factor(dim, plans):
     nonzeros, so the arrays are sized up front and filled term by term; B
     costs 20 bytes per nonzero (a complex value and an int32 column), with
     int64 indices only when the nonzeros outgrow int32.  scipy.sparse is
-    imported here, on first use: importing it takes 15-20 ms, which a CLI
-    start that runs no Lanczos iteration does not pay.
+    imported here, on first use: after ``import qsatkit, qsatkit.cli`` the
+    import took 122-160 ms (median 153 ms of seven fresh processes, one
+    OpenBLAS thread), most of it scipy's start-up, which it shares with
+    ``scipy.linalg``; with that already loaded it took 11-16 ms.  A process
+    that runs no Lanczos iteration does not pay it.
     """
     import scipy.sparse
 

@@ -56,6 +56,13 @@ own actions A (``QsatInstance.actions``; A^H A is the projector).  Every
 dense lowest eigenpair, including the dominance checks, comes from
 ``_dense_ground_pair``, one call per stack of operators; a single solve is
 a stack of one.
+
+The dense and Krylov routes call LAPACK and BLAS directly, through handles
+from ``scipy.linalg`` that ``_lapack`` loads on the first dense or Krylov
+solve, or the first dense byte estimate.  Everything else runs on numpy
+alone: the null-space basis, its witness and the verdicts it decides, so
+importing the package, a satisfiable ``decide_sat`` decided by its witness
+and the commands that solve nothing load no scipy module.
 """
 
 import bisect
@@ -65,7 +72,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 from . import config, kernels
 from .errors import (
@@ -75,15 +81,6 @@ from .errors import (
     DimensionMismatchError,
 )
 from .instance import GeneralTerm, QsatInstance, RankOneTerm
-
-_HEEVR, _HEEVR_LWORK = scipy.linalg.get_lapack_funcs(
-    ("heevr", "heevr_lwork"), dtype=np.complex128
-)
-_STEBZ, _STEIN = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
-_ZDOTC, _ZAXPY, _DZNRM2, _ZDSCAL = (
-    scipy.linalg.blas.zdotc, scipy.linalg.blas.zaxpy,
-    scipy.linalg.blas.dznrm2, scipy.linalg.blas.zdscal,
-)
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -176,6 +173,31 @@ def _start_vector(dim: int) -> np.ndarray:
 
 
 @functools.cache
+def _lapack():
+    """The LAPACK and BLAS routines of the dense and Krylov solves, from
+    ``scipy.linalg``, which is imported on the first call: ``heevr`` and
+    its workspace query ``heevr_lwork`` (complex), ``stebz`` and ``stein``
+    (real), and the complex BLAS ``zdotc``, ``zaxpy``, ``dznrm2`` and
+    ``zdscal``.  ``import qsatkit, qsatkit.cli`` took a median 279 ms in a
+    fresh process when it imported scipy.linalg, and 112 ms without
+    (``BENCH_startup.json``, written by ``benchmarks/bench_startup.py``), so
+    a process that decides by the null-space witness alone, or solves
+    nothing, does not pay it.  Each function that calls the routines binds
+    the ones it needs once per call, not once per Lanczos step."""
+    import scipy.linalg
+
+    heevr, heevr_lwork = scipy.linalg.get_lapack_funcs(
+        ("heevr", "heevr_lwork"), dtype=np.complex128
+    )
+    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+    blas = scipy.linalg.blas
+    return SimpleNamespace(
+        heevr=heevr, heevr_lwork=heevr_lwork, stebz=stebz, stein=stein,
+        zdotc=blas.zdotc, zaxpy=blas.zaxpy, dznrm2=blas.dznrm2, zdscal=blas.zdscal,
+    )
+
+
+@functools.cache
 def _heevr_arguments(size):
     """The arguments after the matrix of a ``heevr`` call for the lowest
     pair of a size x size operator, in the wrapper's order (compute_v,
@@ -183,7 +205,7 @@ def _heevr_arguments(size):
     workspace is the one LAPACK asks for, as ``scipy.linalg.eigh`` queries
     it, so the pair is the same bit for bit.  Passed by position, they save
     the wrapper 1.2 of 11 us of an 8 x 8 call."""
-    lwork, lrwork, liwork, info = _HEEVR_LWORK(size, lower=1)
+    lwork, lrwork, liwork, info = _lapack().heevr_lwork(size, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK zheevr_lwork failed with info={info}")
     return 1, "I", 1, 0.0, 1.0, 1, 1, 0.0, int(lwork.real), int(lrwork), int(liwork)
@@ -214,15 +236,17 @@ def _dense_ground_pair(stack):
         raise ValueError("array must not contain infs or NaNs")
     count, size = len(stack), stack.shape[-1]
     arguments = _heevr_arguments(size)
+    lapack = _lapack()
+    heevr, zaxpy, dznrm2 = lapack.heevr, lapack.zaxpy, lapack.dznrm2
     lambdas, residuals = np.empty(count), np.empty(count)
     vectors = np.empty((count, size), dtype=np.complex128)
     for t, qmat in enumerate(stack):
-        vals, vecs, _, _, info = _HEEVR(qmat, *arguments)
+        vals, vecs, _, _, info = heevr(qmat, *arguments)
         if info != 0:
             raise np.linalg.LinAlgError(f"LAPACK zheevr failed with info={info}")
         vec = vecs[:, 0]
-        image = _ZAXPY(vec, qmat @ vec, a=-vals[0])
-        lambdas[t], vectors[t], residuals[t] = vals[0], vec, _DZNRM2(image)
+        image = zaxpy(vec, qmat @ vec, a=-vals[0])
+        lambdas[t], vectors[t], residuals[t] = vals[0], vec, dznrm2(image)
     return lambdas, vectors, residuals
 
 
@@ -285,17 +309,19 @@ def _lanczos(applier, dim, alphas=None, betas=None, start=None):
     2.5-4.5 us on 2^10 amplitudes, against 0.5-0.9 us for ``zdotc``,
     ``dznrm2``, ``zaxpy`` and ``zdscal`` (one OpenBLAS thread).
     """
+    lapack = _lapack()
+    zdotc, zaxpy, dznrm2, zdscal = lapack.zdotc, lapack.zaxpy, lapack.dznrm2, lapack.zdscal
     replay = alphas is not None
     prev, vec = None, _start_vector(dim) if start is None else start
     for j in range(len(alphas)) if replay else itertools.count():
         w = applier(vec)
-        alpha = alphas[j] if replay else _ZDOTC(vec, w).real
-        _ZAXPY(vec, w, a=-alpha)
+        alpha = alphas[j] if replay else zdotc(vec, w).real
+        zaxpy(vec, w, a=-alpha)
         if prev is not None:
-            _ZAXPY(prev, w, a=-beta)
-        beta = betas[j] if replay else _DZNRM2(w)
+            zaxpy(prev, w, a=-beta)
+        beta = betas[j] if replay else dznrm2(w)
         yield vec, alpha, beta
-        _ZDSCAL(1.0 / beta, w, overwrite_x=1)
+        zdscal(1.0 / beta, w, overwrite_x=1)
         prev, vec = vec, w
 
 
@@ -323,6 +349,8 @@ def _krylov_ground_pair(instance):
     dim = 1 << n
     config.require_memory(_krylov_bytes(instance), f"the Lanczos iteration on {n} qubits")
     applier = kernels.InstanceApplier(instance)
+    lapack = _lapack()
+    zaxpy, dznrm2 = lapack.zaxpy, lapack.dznrm2
     tol = config.KRYLOV_TOL * instance.num_terms
     # One array rather than a deque of the step vectors: its pages are
     # touched only as rows are written, and it leaves no small blocks behind.
@@ -338,8 +366,8 @@ def _krylov_ground_pair(instance):
                 best_vector=vec,
             )
         image = applier(vec)
-        _ZAXPY(vec, image, a=-lam)
-        residual = _DZNRM2(image)
+        zaxpy(vec, image, a=-lam)
+        residual = dznrm2(image)
         if residual <= config.RESIDUAL_TOL or not budget:
             return lam, vec, residual
         start = vec
@@ -359,9 +387,11 @@ def _lowest_tridiagonal_pair(alphas, betas):
         raise ValueError("array must not contain infs or NaNs")
     if len(alphas) == 1:
         return float(alphas[0]), np.ones(1)
-    found, theta, block, split, info = _STEBZ(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    lapack = _lapack()
+    stebz, stein = lapack.stebz, lapack.stein
+    found, theta, block, split, info = stebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info == 0:
-        ritz, info = _STEIN(alphas, betas, theta[:found], block, split)
+        ritz, info = stein(alphas, betas, theta[:found], block, split)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK stebz/stein failed with info={info}")
     return float(theta[0]), ritz[:, 0]
@@ -385,6 +415,8 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
     when there are none.  The ring holds 2,048 vectors at n = 10 and 8 at
     n = 18.  The sum is the same, bit for bit, at any keep.
     """
+    lapack = _lapack()
+    zaxpy, dznrm2, zdscal = lapack.zaxpy, lapack.dznrm2, lapack.zdscal
     keep = len(kept)
     alphas, betas = np.empty(_RITZ_CHECK), np.empty(_RITZ_CHECK)
     steps = 0
@@ -409,10 +441,10 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
             ritz[:replayed],
             _lanczos(applier, dim, alphas[:replayed], betas[:replayed], start=start),
         ):
-            _ZAXPY(v, vec, a=y)
+            zaxpy(v, vec, a=y)
     for j in range(replayed, steps):
-        _ZAXPY(kept[j % keep], vec, a=ritz[j])
-    _ZDSCAL(1.0 / _DZNRM2(vec), vec, overwrite_x=1)
+        zaxpy(kept[j % keep], vec, a=ritz[j])
+    zdscal(1.0 / dznrm2(vec), vec, overwrite_x=1)
     return theta, vec, steps, converged
 
 
@@ -867,7 +899,18 @@ def operator_dominates(a, b, tol: float = config.DOMINANCE_TOL) -> bool:
     matrices), or explicit arrays; both must share a dimension, and A - B
     must be a non-empty square matrix, finite and Hermitian within
     ``config.HERMITICITY_TOL`` entrywise.
+
+    It holds up to three operators at once: one operand's while the other's
+    is assembled (``_dense_bytes``), both with their difference, then the
+    difference with the Hermiticity check's two temporaries.  An instance
+    operand whose operator, with that, would exceed physical memory raises
+    CapacityError before anything is allocated.
     """
+    for operand in (a, b):
+        if isinstance(operand, QsatInstance):
+            n = operand.num_qubits
+            need = (16 << 2 * n) + _dense_bytes(1, 1 << n)
+            config.require_memory(need, f"a dominance check on the dense route on {n} qubits")
     ma = _as_matrix(a)
     mb = _as_matrix(b)
     if ma.shape != mb.shape:
@@ -875,6 +918,8 @@ def operator_dominates(a, b, tol: float = config.DOMINANCE_TOL) -> bool:
             f"operands have shapes {ma.shape} and {mb.shape}"
         )
     diff = ma - mb
+    # The operands go before the check's temporaries are made.
+    del ma, mb
     if diff.ndim != 2 or diff.shape[0] != diff.shape[1] or not diff.size:
         raise ArgumentError(f"A - B must be a non-empty square matrix, got shape {diff.shape}")
     # Also false on a NaN or infinite entry.

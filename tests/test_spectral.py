@@ -266,6 +266,9 @@ class TestDenseMemory:
             ),
         }[entry]
         need = spectral._dense_bytes(1, 1 << 9)
+        if entry == "operator_dominates":
+            # One operator more: the other operand's, or their difference.
+            need += 16 << 18
         monkeypatch.setattr(qk.config, "physical_memory", lambda: need - 1)
         tracemalloc.start()
         try:
@@ -277,6 +280,36 @@ class TestDenseMemory:
         assert peak < 1 << 20
         monkeypatch.setattr(qk.config, "physical_memory", lambda: need)
         call()
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["chain", "whole-register-term"])
+    def test_dominance_refuses_by_its_traced_peak(self, monkeypatch, whole):
+        # Two operands on 10 qubits hold about three operators at the peak,
+        # where each assembly alone refuses by its _dense_bytes, about two.
+        # A term on the whole register makes assembly's largest pieces.
+        n = 10
+        inst = _singlet_chain(n)
+        if whole:
+            rng = np.random.Generator(np.random.Philox(key=n))
+            inst = qk.QsatInstance(n, [qk.haar_random_term(tuple(range(n)), rng), *inst.terms])
+        one = spectral._dense_bytes(1, 1 << n)
+        need = (16 << 2 * n) + one
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: one)
+        tracemalloc.start()
+        try:
+            with pytest.raises(qk.CapacityError, match="dominance check on the dense route"):
+                qk.operator_dominates(inst, inst)
+            _, refused = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: need)
+        tracemalloc.start()
+        try:
+            assert qk.operator_dominates(inst, inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused < 1 << 20
+        assert one < peak <= need
 
     def test_padded_figure_b_is_its_three_qubit_solve(self, figure_b):
         # Forced dense splits the 14-qubit register into its one 3-qubit
@@ -1092,14 +1125,17 @@ class TestGroundStage:
             assert abs(residuals[t] - residual) <= 1e-15
 
     def test_a_non_finite_last_operator_stops_the_stack_before_any_solve(self, monkeypatch):
+        # The routines load with scipy on the first solve; the loaded handle
+        # is the one every call binds.
         calls = []
-        heevr = spectral._HEEVR
+        lapack = spectral._lapack()
+        heevr = lapack.heevr
 
         def counted(*args, **kwargs):
             calls.append(1)
             return heevr(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "_HEEVR", counted)
+        monkeypatch.setattr(lapack, "heevr", counted)
         stack = np.tile(np.eye(4, dtype=np.complex128), (5, 1, 1))
         stack[-1, 3, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
