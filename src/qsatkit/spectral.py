@@ -174,10 +174,11 @@ def _start_vector(dim: int) -> np.ndarray:
 
 @functools.cache
 def _lapack():
-    """The LAPACK and BLAS routines of the dense and Krylov solves, from
+    """The ten LAPACK and BLAS routines of the dense and Krylov solves, from
     ``scipy.linalg``, which is imported on the first call: ``heevr`` and
-    its workspace query ``heevr_lwork`` (complex), ``stebz`` and ``stein``
-    (real), and the complex BLAS ``zdotc``, ``zaxpy``, ``dznrm2`` and
+    its workspace query ``heevr_lwork`` (complex); ``stebz`` and ``stein``
+    for the exact Ritz check and ``gtsv`` and ``pttrf`` for its filter
+    (real); and the complex BLAS ``zdotc``, ``zaxpy``, ``dznrm2`` and
     ``zdscal``.  ``import qsatkit, qsatkit.cli`` took a median 279 ms in a
     fresh process when it imported scipy.linalg, and 112 ms without
     (``BENCH_startup.json``, written by ``benchmarks/bench_startup.py``), so
@@ -189,10 +190,13 @@ def _lapack():
     heevr, heevr_lwork = scipy.linalg.get_lapack_funcs(
         ("heevr", "heevr_lwork"), dtype=np.complex128
     )
-    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"), dtype=np.float64)
+    stebz, stein, gtsv, pttrf = scipy.linalg.get_lapack_funcs(
+        ("stebz", "stein", "gtsv", "pttrf"), dtype=np.float64
+    )
     blas = scipy.linalg.blas
     return SimpleNamespace(
         heevr=heevr, heevr_lwork=heevr_lwork, stebz=stebz, stein=stein,
+        gtsv=gtsv, pttrf=pttrf,
         zdotc=blas.zdotc, zaxpy=blas.zaxpy, dznrm2=blas.dznrm2, zdscal=blas.zdscal,
     )
 
@@ -250,23 +254,35 @@ def _dense_ground_pair(stack):
     return lambdas, vectors, residuals
 
 
-# Lanczos steps between two checks of the lowest Ritz pair.  A check solves
-# the tridiagonal for that one pair with LAPACK's stebz and stein
-# (``_lowest_tridiagonal_pair``): 13 us at 20 steps and 540-580 us at
-# 1,000, against 620-680 us through ``scipy.linalg.eigh_tridiagonal`` on
-# the step lists, and 49 us for a whole step at n = 10, of which 45-47 us
-# is the matvec (one OpenBLAS thread).  Each check is still O(steps), so
-# their total grows with the square of the steps.  The near-frustration-free
-# n = 10 solves of qsatbench's large_krylov take 960-1,000 steps and 48-50
-# checks; with every vector kept and no replay, the checks take 14-16 ms of
-# a 67-73 ms solve, 21-22% (25-26% through eigh_tridiagonal).
-# An interval of max(20, steps // 8) made 24 checks but ran 1,038 steps a
-# pass: in three interleaved runs of 20-30 solves per frame it took
-# 0.91-0.94x the time on four frames, but 0.91-1.10x on the one that
-# converges at 960 steps, so the interval stays fixed.  A check every step
-# would cost more than the steps, and a rarer one runs further past
-# convergence.
+# Lanczos steps between two checks of the lowest Ritz pair.  The exact
+# check solves the tridiagonal for that one pair with LAPACK's stebz and
+# stein (``_lowest_tridiagonal_pair``): 11 us at 20 steps, 270 us at 500
+# and 545 us at 1,000, against 49 us for a whole step at n = 10 (one
+# OpenBLAS thread).  It is O(steps), so exact checks alone would cost the
+# square of the steps: 48-50 of them took 13.4 ms of a 61.6 ms
+# near-frustration-free n = 10 solve of qsatbench's large_krylov (medians
+# of 40 solves, 22%).  So a checkpoint after a pass's first runs the
+# warm-started estimate of ``_ritz_estimate`` first, 42 us at 40 steps and
+# 56-57 us at 500 and 1,000, and the exact check only where the estimate
+# cannot show that the pass goes on.  Those solves then make 3-4 exact and
+# 47-49 filtered checks, 4.7 ms of a 52.2 ms solve (9%).
+# With exact checks alone, an interval of max(20, steps // 8) made 24 checks
+# but ran 1,038 steps a pass: 0.91-1.10x the time on the five frames, so
+# the interval stays fixed.  A check every step would cost more than the
+# steps, and a rarer one runs further past convergence.
 _RITZ_CHECK = 20
+
+# A filtered checkpoint skips the exact check when the estimate's beta
+# |y_last| is above this many times the tolerance, with the estimate proven
+# within (margin - 1) tol / beta of the exact |y_last|, so the exact check
+# would have found beta |y_last| > tol.  A margin near 1 needs a wider
+# proven gap above the lowest Ritz value, and a large one leaves more of
+# the checkpoints just before convergence to the exact check: over the five
+# near-frustration-free solves and Haar k = 3, m = n solves at n = 8-12
+# (430 filtered checkpoints), margins of 1.25, 1.5, 2, 3 and 4 made 103,
+# 61, 34, 37 and 43 exact checks, of which the estimate declined 84, 38,
+# 3, 1 and 1.
+_SKIP_MARGIN = 2.0
 
 
 def _kept_vectors(num_qubits):
@@ -287,7 +303,9 @@ def _krylov_bytes(instance):
     takes two and a half vectors for a moment: at most three and a half
     vectors.  A restarted pass draws none but holds its start vector: still
     within the six.
-    The tridiagonal's entries, two floats a step, are not counted."""
+    The tridiagonal's entries, two floats a step, are not counted, nor are
+    the Ritz checks' O(steps) floats: the exact check's pair, and the
+    filter's warm start, its iterates and its factorization."""
     n = instance.num_qubits
     return (16 * (_kept_vectors(n) + 6) << n) + kernels._applier_bytes(instance)
 
@@ -333,7 +351,10 @@ def _krylov_ground_pair(instance):
     orthogonality adds copies of converged Ritz values but leaves the lowest
     one correct (Paige, J. Inst. Math. Appl. 18, 1976; Cullum and
     Willoughby, 1985).  A pass (``_ritz_pass``) stops when the lowest Ritz
-    pair's estimated residual is at most KRYLOV_TOL * m.  The estimate
+    pair's estimated residual is at most KRYLOV_TOL * m, as the exact Ritz
+    check finds it: a cheaper filter settles most checkpoints, but only
+    where the exact check would let the pass go on, so every pass stops at
+    the step, and with the pair, of one without the filter.  The estimate
     assumes orthonormal vectors; once a degenerate lowest level has several
     copies in the tridiagonal, the Ritz vector can cancel to a small fraction
     of unit norm before it is normalized, and its true residual exceed the
@@ -397,6 +418,66 @@ def _lowest_tridiagonal_pair(alphas, betas):
     return float(theta[0]), ritz[:, 0]
 
 
+def _ritz_estimate(alphas, betas, warm, slack):
+    """An estimate (theta, y) of the lowest eigenpair of the tridiagonal T of
+    ``_lowest_tridiagonal_pair``, from ``warm``, the pair of a leading block
+    of T, whose y has a last entry within ``slack`` of that pair's, in
+    absolute value; None when that cannot be proven.
+
+    Rayleigh-quotient steps (solves of (T - theta I) x = y with LAPACK's
+    ``gtsv``) from warm's vector, padded with zeros, until the residual the
+    solve implies is within roundoff, give y, theta = y^T T y and the
+    residual r = ||T y - theta y||, computed anew.  Near convergence one
+    step does; a checkpoint early in a pass, whose warm start is further
+    off, takes three or four, and one that needs more is declined.  Then
+    ``pttrf`` factors T - sigma I = L D L^T, sigma = theta + 2 r / slack,
+    going on once past the first pivot that is not positive.  If exactly
+    one pivot is negative, T has one eigenvalue below sigma (Sylvester's law
+    of inertia): its lowest, lambda_1 <= theta, with eigenvector u, and
+    every other one lies at least 2 r / slack above theta.  So y's
+    component off u has norm at most slack / 2, and so has that of
+    ``stein``'s vector, whose residual is roundoff (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, ch. 3, 4 and 11).  A warm start in a cluster of close eigenvalues, or in the wrong
+    block of a split T, finds more than one below sigma and is declined.
+    The residual and the shift carry 8 units of roundoff in ||T||, by which
+    the computed residual and the computed pivots may be off.
+    """
+    lapack = _lapack()
+    gtsv, pttrf = lapack.gtsv, lapack.pttrf
+    theta, y = warm
+    x = np.zeros(len(alphas))
+    x[:len(y)] = y
+    noise = 8 * np.finfo(float).eps * (np.abs(alphas).max() + 2 * np.abs(betas).max())
+    for _ in range(4):
+        # (T - theta I) x' = x gives theta' = x'^T T x' / x'^T x' as
+        # theta + x'^T x / x'^T x', and (T - theta' I) x' as x - (theta' - theta) x'.
+        y, (_, _, _, x, info) = x, gtsv(betas, alphas - theta, betas, x, overwrite_d=1)
+        if info:
+            return None
+        scale = np.linalg.norm(x)
+        step = (x @ y) / scale**2
+        theta += step
+        if np.linalg.norm(y - step * x) <= noise * scale:
+            break
+    else:
+        return None
+    image = alphas * x  # T x
+    image[:-1] += betas * x[1:]
+    image[1:] += betas * x[:-1]
+    residual = np.linalg.norm(image - theta * x) / scale + noise
+    if not np.isfinite(residual):
+        return None
+    pivots, _, info = pttrf(alphas - (theta + 2 * residual / slack + noise), betas, overwrite_d=1)
+    if not info or pivots[info - 1] == 0:
+        return None
+    if info < len(alphas):
+        rest = pivots[info:]
+        rest[0] -= betas[info - 1] ** 2 / pivots[info - 1]
+        if rest[0] <= 0 or len(rest) > 1 and pttrf(rest, betas[info:], overwrite_d=1)[2]:
+            return None
+    return theta, x / scale
+
+
 def _ritz_pass(applier, dim, kept, tol, budget, start):
     """One pass of ``_krylov_ground_pair``: the lowest Ritz pair
     ``(theta, vector)`` of a Lanczos recurrence from ``start`` (None: from
@@ -407,7 +488,14 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
     alpha and beta arrays, which double in length when full), and the pass
     stops when its residual estimate beta |y_last| is at most ``tol``, or
     after ``budget`` steps.  A beta within that bound marks an invariant
-    subspace; it is checked at once and meets the same test.  The Ritz
+    subspace; it is checked at once and meets the same test.  A checkpoint
+    after the pass's first, with ``tol`` < beta and steps to spare, first
+    warm-starts ``_ritz_estimate`` from the previous checkpoint's pair: if
+    it proves beta |y_last| above ``_SKIP_MARGIN`` * tol within the slack
+    the margin leaves, the exact check could not stop the pass and is
+    skipped, and the estimate is the next warm start.  Only the exact check
+    stops a pass, so the step, theta and y it stops with are those of a
+    pass that checks every checkpoint exactly, bit for bit.  The Ritz
     vector is the sum over the steps, in step order, of y_j v_j, normalized.
     The pass copies each vector into row j % keep of the preallocated ring
     ``kept`` of keep rows, so the latest keep vectors are at hand; a second
@@ -429,7 +517,13 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
         steps += 1
         if steps % _RITZ_CHECK and beta > tol and steps < budget:
             continue
-        theta, ritz = _lowest_tridiagonal_pair(alphas[:steps], betas[:steps - 1])
+        if steps > _RITZ_CHECK and 0 < tol < beta and steps < budget:
+            warm = _ritz_estimate(
+                alphas[:steps], betas[:steps - 1], warm, (_SKIP_MARGIN - 1) * tol / beta
+            )
+            if warm is not None and beta * abs(warm[1][-1]) > _SKIP_MARGIN * tol:
+                continue
+        theta, ritz = warm = _lowest_tridiagonal_pair(alphas[:steps], betas[:steps - 1])
         converged = beta * abs(ritz[-1]) <= tol
         if converged or steps == budget:
             break

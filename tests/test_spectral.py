@@ -72,6 +72,54 @@ def _traced_krylov_solve(warmup):
     return inst, result, peak
 
 
+def _general_term_instance():
+    """Six rank-2 general terms on a 7-qubit ring with a chord: the Krylov
+    route restarts on it (``test_forced_krylov_restarts_on_general_terms``)."""
+    rng = np.random.Generator(np.random.Philox(key=7))
+    terms = []
+    for support in ((0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 0), (1, 4)):
+        cols = rng.standard_normal((1 << len(support), 2)) + 1j * rng.standard_normal(
+            (1 << len(support), 2))
+        q, _ = np.linalg.qr(cols)
+        terms.append(qk.GeneralTerm(support, q @ q.conj().T))
+    return qk.QsatInstance(7, terms)
+
+
+def _cancelling_instance(figure_b_core):
+    """A frustrated qubit reduced through figure-b's core: 9 qubits, 12
+    terms, a 4-fold lowest level at 1.0e-3, on which the first Lanczos
+    pass's Ritz vector cancels and the route restarts
+    (``test_krylov_restarts_when_the_ritz_vector_cancels``)."""
+    v = [1.0 - 0.0010089236585973825, 0.0]
+    v[1] = np.sqrt(1.0 - v[0] ** 2) * np.exp(1j)
+    q = qk.QsatInstance(1, [qk.basis_term((0,), "0"), qk.RankOneTerm((0,), v)])
+    return qk.build_reduction(q, 2, figure_b_core).t_instance
+
+
+def _key_71_instance():
+    """k = 3, m = n = 10: a 24-dimensional null space, next eigenvalue 2.0e-4."""
+    return random_instance(np.random.Generator(np.random.Philox(key=71)), 10, 10, k=3)
+
+
+def _counted_ritz_checks(monkeypatch, filtered=True):
+    """Count the exact Ritz checks (``_lowest_tridiagonal_pair`` calls) and
+    the filter's estimates, the latter all declined unless ``filtered``."""
+    counts = {"exact": 0, "filtered": 0}
+    exact, estimate = spectral._lowest_tridiagonal_pair, spectral._ritz_estimate
+
+    def counted_exact(*args):
+        counts["exact"] += 1
+        return exact(*args)
+
+    def counted_estimate(*args):
+        counts["filtered"] += 1
+        return estimate(*args) if filtered else None
+
+    monkeypatch.setattr(spectral, "_lowest_tridiagonal_pair", counted_exact)
+    monkeypatch.setattr(spectral, "_ritz_estimate", counted_estimate)
+    return counts
+
+
 def _broadcast_gram(inst):
     """The reference operator of a rank-1 instance: each term's row a = <v|
     adds the broadcast product conj(a)[:, None] * a[None, :], embedded by
@@ -487,14 +535,7 @@ class TestGroundEnergy:
     def test_forced_krylov_restarts_on_general_terms(self):
         # 2^7 dimensions and general terms: the recurrence runs past its
         # first Ritz checks with no reorthogonalization.
-        rng = np.random.Generator(np.random.Philox(key=7))
-        terms = []
-        for support in ((0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (6, 0), (1, 4)):
-            cols = rng.standard_normal((1 << len(support), 2)) + 1j * rng.standard_normal(
-                (1 << len(support), 2))
-            q, _ = np.linalg.qr(cols)
-            terms.append(qk.GeneralTerm(support, q @ q.conj().T))
-        inst = qk.QsatInstance(7, terms)
+        inst = _general_term_instance()
         krylov = qk.ground_energy(inst, method="krylov")
         assert krylov.method == "krylov"
         assert abs(krylov.lambda0 - oracle_lambda0(inst)) <= 1e-12
@@ -506,10 +547,7 @@ class TestGroundEnergy:
         # estimate at 100 steps, but the copies of that level in the
         # tridiagonal cancel the Ritz vector to a norm near 0.02 and its true
         # residual is 1.0e-8; the pass restarted from it meets RESIDUAL_TOL.
-        v = [1.0 - 0.0010089236585973825, 0.0]
-        v[1] = np.sqrt(1.0 - v[0] ** 2) * np.exp(1j)
-        q = qk.QsatInstance(1, [qk.basis_term((0,), "0"), qk.RankOneTerm((0,), v)])
-        inst = qk.build_reduction(q, 2, figure_b_core).t_instance
+        inst = _cancelling_instance(figure_b_core)
         passes, ritz_pass = [], spectral._ritz_pass
 
         def counted_pass(*args):
@@ -524,13 +562,92 @@ class TestGroundEnergy:
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_krylov_on_a_degenerate_near_frustration_free_instance(self):
-        # k = 3, m = n = 10: a 24-dimensional null space, next eigenvalue 2.0e-4.
-        inst = random_instance(np.random.Generator(np.random.Philox(key=71)), 10, 10, k=3)
+        inst = _key_71_instance()
         spectrum = np.linalg.eigvalsh(oracle_matrix(inst))
         assert (spectrum < 1e-9).sum() == 24 and spectrum[24] > 1e-4
         result = qk.ground_energy(inst, method="krylov")
         assert abs(result.lambda0 - spectrum[0]) <= 1e-10
         assert result.residual <= qk.config.RESIDUAL_TOL
+
+    @pytest.mark.parametrize(
+        "name", ["cancelling", "general", "key-71"] + [f"haar-{i}" for i in range(20)]
+    )
+    def test_the_ritz_filter_leaves_the_krylov_pair_bit_for_bit(
+        self, monkeypatch, figure_b_core, name
+    ):
+        # A checkpoint skips the exact Ritz check only where it could not
+        # have stopped the pass, so the pass stops at the same step with the
+        # same pair as one whose every checkpoint runs the exact check: on
+        # the two restarting instances, the degenerate one, and Haar
+        # instances with short (k = 2, m = 2n) and long (k = 3, m = n)
+        # passes at n = 8-11.
+        if name == "cancelling":
+            inst = _cancelling_instance(figure_b_core)
+        elif name == "general":
+            inst = _general_term_instance()
+        elif name == "key-71":
+            inst = _key_71_instance()
+        else:
+            i = int(name.removeprefix("haar-"))
+            n, k = 8 + i % 4, 2 + i % 2
+            inst = random_instance(np.random.Generator(np.random.Philox(key=300 + i)),
+                                   n, n * (4 - k), k=k)
+        counts = _counted_ritz_checks(monkeypatch)
+        lam, vec, residual = spectral._krylov_ground_pair(inst)
+        filtered = dict(counts)
+        monkeypatch.setattr(spectral, "_ritz_estimate", lambda *args: None)
+        plain = spectral._krylov_ground_pair(inst)
+        assert lam == plain[0]
+        assert np.array_equal(vec, plain[1])
+        assert residual == plain[2]
+        assert filtered["exact"] <= counts["exact"] - filtered["exact"]
+
+    def test_a_filter_that_never_verifies_checks_every_checkpoint(self, monkeypatch):
+        # Every checkpoint after a pass's first runs the filter and, when it
+        # declines, the exact check: one exact check per checkpoint.
+        inst = _key_71_instance()
+        reference = spectral._krylov_ground_pair(inst)
+        steps = []
+        ritz_pass = spectral._ritz_pass
+
+        def counted_pass(*args):
+            result = ritz_pass(*args)
+            steps.append(result[2])
+            return result
+
+        monkeypatch.setattr(spectral, "_ritz_pass", counted_pass)
+        counts = _counted_ritz_checks(monkeypatch, filtered=False)
+        lam, vec, residual = spectral._krylov_ground_pair(inst)
+        assert (lam, residual) == (reference[0], reference[2])
+        assert np.array_equal(vec, reference[1])
+        checkpoints = sum(-(-s // spectral._RITZ_CHECK) for s in steps)
+        assert counts["exact"] == checkpoints
+        assert counts["filtered"] == checkpoints - len(steps)
+
+    def test_the_degenerate_instance_makes_few_exact_checks(self, monkeypatch):
+        # Its pass runs 940 steps, 47 checkpoints; the estimate settles all
+        # but the first and the last few.  A count, not a timing.
+        counts = _counted_ritz_checks(monkeypatch)
+        spectral._krylov_ground_pair(_key_71_instance())
+        assert counts["exact"] <= 6
+        assert counts["exact"] + counts["filtered"] >= 47
+
+    def test_forced_krylov_on_rank_two_general_terms_at_ten_qubits(self):
+        # Ten rank-2 projectors on a connected 10-qubit register: a Lanczos
+        # pass of 160 steps on general terms, its later checkpoints filtered.
+        rng = np.random.Generator(np.random.Philox(key=210))
+        terms = []
+        for j in range(10):
+            cols = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+            q, _ = np.linalg.qr(cols)
+            terms.append(qk.GeneralTerm((j, (j + 1) % 10, (j + 3) % 10), q @ q.conj().T))
+        inst = qk.QsatInstance(10, terms)
+        assert len(spectral._components(inst.supports())) == 1
+        krylov = qk.ground_energy(inst, method="krylov")
+        dense = qk.ground_energy(inst, method="dense")
+        assert krylov.method == "krylov"
+        assert abs(krylov.lambda0 - dense.lambda0) <= 1e-10
+        assert krylov.residual <= qk.config.RESIDUAL_TOL
 
     def test_krylov_restart_cap_raises_with_the_best_iterate(self, monkeypatch):
         # No pair meets a zero tolerance, so the 10 * 2^n steps run out.
@@ -1191,7 +1308,9 @@ class TestGroundStage:
 
 class TestRitzCheck:
     """The Lanczos pass's Ritz check calls LAPACK's ``stebz`` and ``stein``
-    itself and must give ``scipy.linalg.eigh_tridiagonal``'s pair."""
+    itself and must give ``scipy.linalg.eigh_tridiagonal``'s pair.  The
+    filter in front of it (``_ritz_estimate``) may decline, but an estimate
+    it returns must be as good as it claims."""
 
     @staticmethod
     def _tridiagonal(steps, key):
@@ -1218,6 +1337,65 @@ class TestRitzCheck:
         self._assert_eigh_tridiagonal_pair(alphas, betas)
         alphas[:11] -= 5.0  # the lowest pair in the first block
         self._assert_eigh_tridiagonal_pair(alphas, betas)
+
+    @staticmethod
+    def _assert_estimate_within(alphas, betas, warm, slack):
+        """The filter's estimate either declines or has a last entry within
+        ``slack`` of the exact pair's, in absolute value; returns it."""
+        estimate = spectral._ritz_estimate(alphas, betas, warm, slack)
+        if estimate is not None:
+            theta, ritz = spectral._lowest_tridiagonal_pair(alphas, betas)
+            assert abs(abs(estimate[1][-1]) - abs(ritz[-1])) <= slack
+            assert abs(estimate[0] - theta) <= 1e-12
+        return estimate
+
+    @pytest.mark.parametrize("slack", [1e-9, 1e-4, 1e-2])
+    @pytest.mark.parametrize("steps", [40, 60, 200, 1000])
+    def test_estimate_declines_or_matches_within_the_slack(self, steps, slack):
+        # Warm-started from the exact pair of the tridiagonal 20 steps short,
+        # as at a Lanczos checkpoint, on random tridiagonals with spread-out
+        # eigenvalues, where the warm start may lead to another one.
+        verified = 0
+        for key in range(10):
+            alphas, betas = self._tridiagonal(steps, 100 * steps + key)
+            warm = spectral._lowest_tridiagonal_pair(alphas[:-20], betas[:-20])
+            verified += self._assert_estimate_within(alphas, betas, warm, slack) is not None
+        assert verified
+
+    def test_estimate_on_lanczos_tridiagonals(self):
+        # At each checkpoint of a Lanczos run on the degenerate instance, with
+        # the pass's own slack: last entries from 7e-3 down to 3e-5, far
+        # above it, and an estimate verified at nearly every checkpoint.
+        inst = _key_71_instance()
+        steps = list(itertools.islice(
+            spectral._lanczos(kernels.InstanceApplier(inst), 1 << inst.num_qubits), 400))
+        alphas = np.array([alpha for _, alpha, _ in steps])
+        betas = np.array([beta for _, _, beta in steps])
+        tol = qk.config.KRYLOV_TOL * inst.num_terms
+        verified = 0
+        for j in range(40, 401, 20):
+            warm = spectral._lowest_tridiagonal_pair(alphas[:j - 20], betas[:j - 21])
+            slack = (spectral._SKIP_MARGIN - 1) * tol / betas[j - 1]
+            verified += self._assert_estimate_within(
+                alphas[:j], betas[:j - 1], warm, slack) is not None
+        assert verified >= 15
+
+    def test_estimate_on_a_tridiagonal_that_splits(self):
+        # Zero betas split it into blocks.  Warm-started in the first block
+        # when the lowest pair is in another, the estimate stays in the first
+        # block and must decline, even when the two lowest eigenvalues are
+        # 1e-12 apart; warm-started in the right block it verifies.
+        alphas, betas = self._tridiagonal(60, 7)
+        betas[[10, 41]] = 0.0
+        warm = spectral._lowest_tridiagonal_pair(alphas[:11], betas[:10])
+        second = spectral._lowest_tridiagonal_pair(alphas[11:42], betas[11:41])[0]
+        for below in (1.0, 1e-12):
+            moved = alphas.copy()
+            moved[11:42] -= second - warm[0] + below
+            assert spectral._ritz_estimate(moved, betas, warm, 1e-9) is None
+        alphas[:11] -= 5.0  # the lowest pair in the first block
+        warm = spectral._lowest_tridiagonal_pair(alphas[:40], betas[:39])
+        assert self._assert_estimate_within(alphas, betas, warm, 1e-9) is not None
 
     @pytest.mark.parametrize("where", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
