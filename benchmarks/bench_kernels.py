@@ -2,13 +2,15 @@
 
 ``InstanceApplier`` builds its sparse factor B, with Q = B^H B, from the
 terms' ``fiber_layout`` plans.  Before timing, the script raises if
-<x|Q x> differs from the energy summed term by term over the fibers.
-Output with ``--repeats 100`` on a 2-core x86 host with one OpenBLAS
-thread::
+<x|Q x> differs from the energy summed term by term over the fibers, or if
+``applier(x, out)``, which writes into a buffer of the caller's as the
+Lanczos recurrence does, differs from ``applier(x)`` by a single bit.  It
+times both.  Output with ``--repeats 100`` on a 2-core x86 host with one
+OpenBLAS thread::
 
-    qubits  terms   k     best matvec
-         8     20   3        0.023 ms
-        10     20   3        0.065 ms
+    qubits  terms   k    applier(x)  applier(x, out)
+         8     20   3      0.020 ms         0.020 ms
+        10     20   3      0.064 ms         0.064 ms
         ...
 
 Run as ``python benchmarks/bench_kernels.py`` from the repository root.
@@ -51,11 +53,11 @@ def fiber_energy(instance, state) -> float:
     return total
 
 
-def best_time(applier, state, repeats: int) -> float:
+def best_time(call, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        applier(state)
+        call()
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -71,15 +73,22 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    print(f"{'qubits':>6}  {'terms':>5}  {'k':>2}  {'best matvec':>14}")
+    print(f"{'qubits':>6}  {'terms':>5}  {'k':>2}  {'applier(x)':>12}  {'applier(x, out)':>15}")
     for n in args.qubits:
         instance, state = build_case(n, args.terms, args.k, args.seed)
         energy = fiber_energy(instance, state)
         applier = qk.InstanceApplier(instance)
-        if abs(np.vdot(state, applier(state)).real - energy) > 1e-10 * max(1.0, energy):
+        image = applier(state)
+        if abs(np.vdot(state, image).real - energy) > 1e-10 * max(1.0, energy):
             raise AssertionError(f"the kernel misses the fiber energy at n={n}")
-        elapsed = best_time(applier, state, args.repeats)
-        print(f"{n:>6}  {args.terms:>5}  {args.k:>2}  {elapsed * 1e3:>11.3f} ms")
+        out = np.full_like(image, np.nan)
+        if not np.array_equal(applier(state, out), image):
+            raise AssertionError(f"applier(x, out) differs from applier(x) at n={n}")
+        allocating = best_time(lambda: applier(state), args.repeats)
+        writing = best_time(lambda: applier(state, out), args.repeats)
+        print(f"{n:>6}  {args.terms:>5}  {args.k:>2}  {allocating * 1e3:>9.3f} ms"
+              f"  {writing * 1e3:>12.3f} ms")
+
 
 if __name__ == "__main__":
     main()

@@ -261,11 +261,11 @@ def _dense_ground_pair(stack):
 # OpenBLAS thread).  It is O(steps), so exact checks alone would cost the
 # square of the steps: 48-50 of them took 13.4 ms of a 61.6 ms
 # near-frustration-free n = 10 solve of qsatbench's large_krylov (medians
-# of 40 solves, 22%).  So a checkpoint after a pass's first runs the
-# warm-started estimate of ``_ritz_estimate`` first, 42 us at 40 steps and
-# 56-57 us at 500 and 1,000, and the exact check only where the estimate
-# cannot show that the pass goes on.  Those solves then make 3-4 exact and
-# 47-49 filtered checks, 4.7 ms of a 52.2 ms solve (9%).
+# of 40 solves, 22%).  So a checkpoint from ``_FILTER_FROM`` steps of its
+# pass on runs the warm-started estimate of ``_ritz_estimate`` first, 56 us
+# at 100 steps and 60-77 us at 200-900, and the exact check only where the
+# estimate cannot show that the pass goes on.  Those solves then make 5-6
+# exact and 45-47 filtered checks, 4.1-4.9 ms of a 50-53 ms solve (9%).
 # With exact checks alone, an interval of max(20, steps // 8) made 24 checks
 # but ran 1,038 steps a pass: 0.91-1.10x the time on the five frames, so
 # the interval stays fixed.  A check every step would cost more than the
@@ -282,7 +282,19 @@ _RITZ_CHECK = 20
 # (430 filtered checkpoints), margins of 1.25, 1.5, 2, 3 and 4 made 103,
 # 61, 34, 37 and 43 exact checks, of which the estimate declined 84, 38,
 # 3, 1 and 1.
+# Checkpoints before ``_FILTER_FROM`` steps of a pass run the exact check
+# alone.  Timed call by call at every checkpoint of the Krylov benchmark's
+# population (five near-frustration-free n = 10 solves, Haar k = 2 and 3 at
+# n = 8-14, rank-2 general terms; three rounds, one OpenBLAS thread), the
+# median estimate against the median exact check at the same step took
+# 85 against 31 us at 40 steps (where 35% of the estimates declined and
+# the exact check ran too), 53 against 39 us at 60, 58 against 50 us at 80,
+# 56 against 62 us at 100 and 60 against 137 us at 200.  The two are within
+# 8 us at 80 and 100 steps; starting at 100 would save those 8 us a pass
+# and cost the degenerate key-71 instance of the tests a seventh exact
+# check, so the filter starts at 80.
 _SKIP_MARGIN = 2.0
+_FILTER_FROM = 80
 
 
 def _kept_vectors(num_qubits):
@@ -296,13 +308,14 @@ def _krylov_bytes(instance):
     """Bytes the Lanczos iteration of ``_krylov_ground_pair`` holds at once:
     the kept vectors (``_kept_vectors``), six more vectors of the register,
     and the applier's sparse factor with a matvec's temporaries
-    (``kernels._applier_bytes``).  Those include the matvec's result, which
-    the step turns into the next vector in place.  Besides it the recurrence
-    holds the current and the previous vector, the Ritz vector is summed in
-    place, and drawing the start vector of a first pass or of its replay
-    takes two and a half vectors for a moment: at most three and a half
-    vectors.  A restarted pass draws none but holds its start vector: still
-    within the six.
+    (``kernels._applier_bytes``).  Those include a matvec's result, which
+    the iteration never allocates: every matvec writes into a vector it
+    holds.  The recurrence rotates three vectors and each pass's residual
+    takes a fourth; a restarted pass holds its start vector besides, and
+    the replay of a pass's older steps runs with the Ritz vector being
+    summed in place: at most six.  Drawing the start vector of a first pass
+    or of its replay takes two and a half vectors for a moment, before the
+    recurrence allocates its other two.
     The tridiagonal's entries, two floats a step, are not counted, nor are
     the Ritz checks' O(steps) floats: the exact check's pair, and the
     filter's warm start, its iterates and its factorization."""
@@ -326,13 +339,22 @@ def _lanczos(applier, dim, alphas=None, betas=None, start=None):
     ``np.linalg.norm`` and numpy's in-place operators took 1.0, 3.1 and
     2.5-4.5 us on 2^10 amplitudes, against 0.5-0.9 us for ``zdotc``,
     ``dznrm2``, ``zaxpy`` and ``zdscal`` (one OpenBLAS thread).
+
+    Three vectors of the register rotate: each step's matvec writes
+    ``applier(v_j, out)`` into the one that held v_{j-2}, so a step
+    allocates nothing but the matvec's B x.  A first pass draws its start
+    vector into the first of them; a caller's ``start`` is only read.  A
+    yielded vector is valid until the next step: a caller that keeps it
+    copies it.
     """
     lapack = _lapack()
     zdotc, zaxpy, dznrm2, zdscal = lapack.zdotc, lapack.zaxpy, lapack.dznrm2, lapack.zdscal
     replay = alphas is not None
     prev, vec = None, _start_vector(dim) if start is None else start
+    ring = [vec if start is None else np.empty(dim, dtype=np.complex128)]
+    ring += [np.empty(dim, dtype=np.complex128) for _ in range(2)]
     for j in range(len(alphas)) if replay else itertools.count():
-        w = applier(vec)
+        w = applier(vec, ring[(j + 1) % 3])
         alpha = alphas[j] if replay else zdotc(vec, w).real
         zaxpy(vec, w, a=-alpha)
         if prev is not None:
@@ -376,6 +398,7 @@ def _krylov_ground_pair(instance):
     # One array rather than a deque of the step vectors: its pages are
     # touched only as rows are written, and it leaves no small blocks behind.
     kept = np.empty((_kept_vectors(n), dim), dtype=np.complex128)
+    image = np.empty(dim, dtype=np.complex128)  # each pass's Q v - lam v
     start, budget = None, 10 * dim
     while True:
         lam, vec, steps, converged = _ritz_pass(applier, dim, kept, tol, budget, start)
@@ -386,7 +409,7 @@ def _krylov_ground_pair(instance):
                 best_lambda0=lam,
                 best_vector=vec,
             )
-        image = applier(vec)
+        image = applier(vec, image)
         zaxpy(vec, image, a=-lam)
         residual = dznrm2(image)
         if residual <= config.RESIDUAL_TOL or not budget:
@@ -489,11 +512,11 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
     stops when its residual estimate beta |y_last| is at most ``tol``, or
     after ``budget`` steps.  A beta within that bound marks an invariant
     subspace; it is checked at once and meets the same test.  A checkpoint
-    after the pass's first, with ``tol`` < beta and steps to spare, first
-    warm-starts ``_ritz_estimate`` from the previous checkpoint's pair: if
-    it proves beta |y_last| above ``_SKIP_MARGIN`` * tol within the slack
-    the margin leaves, the exact check could not stop the pass and is
-    skipped, and the estimate is the next warm start.  Only the exact check
+    from ``_FILTER_FROM`` steps on, with ``tol`` < beta and steps to spare,
+    first warm-starts ``_ritz_estimate`` from the previous checkpoint's
+    pair: if it proves beta |y_last| above ``_SKIP_MARGIN`` * tol within
+    the slack the margin leaves, the exact check could not stop the pass and
+    is skipped, and the estimate is the next warm start.  Only the exact check
     stops a pass, so the step, theta and y it stops with are those of a
     pass that checks every checkpoint exactly, bit for bit.  The Ritz
     vector is the sum over the steps, in step order, of y_j v_j, normalized.
@@ -517,7 +540,7 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
         steps += 1
         if steps % _RITZ_CHECK and beta > tol and steps < budget:
             continue
-        if steps > _RITZ_CHECK and 0 < tol < beta and steps < budget:
+        if steps >= _FILTER_FROM and 0 < tol < beta and steps < budget:
             warm = _ritz_estimate(
                 alphas[:steps], betas[:steps - 1], warm, (_SKIP_MARGIN - 1) * tol / beta
             )

@@ -19,6 +19,14 @@ from conftest import KERNELS, embed_matrix, mixed_instances, oracle_matrix, rand
 MISFITS = [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)]
 
 
+def _rank_two_term(rng, support):
+    """A rank-2 projector on ``support`` as a GeneralTerm."""
+    cols = rng.standard_normal((1 << len(support), 2)) + 1j * rng.standard_normal(
+        (1 << len(support), 2))
+    q, _ = np.linalg.qr(cols)
+    return qk.GeneralTerm(support, q @ q.conj().T)
+
+
 def rand_state(rng, num_qubits, cols=None):
     shape = (1 << num_qubits,) if cols is None else (1 << num_qubits, cols)
     vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -120,6 +128,78 @@ class TestApplier:
         inst = qk.QsatInstance(1, [qk.basis_term((0,), "0")])
         with pytest.raises(qk.DimensionMismatchError):
             kernel(inst)(state)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["rank-1", "general"])
+    @pytest.mark.parametrize("batch", [None, 1, 3], ids=["1-d", "batch-1", "batch-3"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_receives_the_allocated_result_bit_for_bit(self, general, batch, order):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        if general:
+            inst = qk.QsatInstance(5, [_rank_two_term(rng, (3, 0, 4)),
+                                       _rank_two_term(rng, (1, 2))])
+        else:
+            inst = random_instance(rng, 5, num_terms=4, k=3)
+        state = np.asarray(rand_state(rng, 5, cols=batch), order=order)
+        applier = qk.InstanceApplier(inst)
+        allocated = applier(state)
+        out = np.full(state.shape, np.nan, dtype=np.complex128)
+        assert applier(state, out) is out
+        assert np.array_equal(out, allocated)
+        assert np.array_equal(out, qk.apply_instance(inst, state))
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["1-d", "batch-3"])
+    def test_out_may_be_the_state(self, batch):
+        rng = np.random.Generator(np.random.Philox(key=32))
+        inst = random_instance(rng, 4, num_terms=3)
+        state = rand_state(rng, 4, cols=batch)
+        applier = qk.InstanceApplier(inst)
+        expected = applier(state)
+        assert applier(state, state) is state
+        assert np.array_equal(state, expected)
+
+    @pytest.mark.parametrize("batch", [None, 3], ids=["1-d", "batch-3"])
+    @pytest.mark.parametrize("bad", ["complex64", "float64", "strided", "fortran",
+                                     "short", "long", "extra-axis", "read-only"])
+    def test_a_bad_out_raises_before_anything_is_written(self, batch, bad):
+        # The compiled loops check no bounds: a wrong dtype, a strided or
+        # column-major buffer or a wrong shape must be refused first.
+        rng = np.random.Generator(np.random.Philox(key=33))
+        inst = random_instance(rng, 4, num_terms=3)
+        state = rand_state(rng, 4, cols=batch)
+        shape = state.shape
+        if bad == "complex64":
+            out = np.full(shape, 7, dtype=np.complex64)
+        elif bad == "float64":
+            out = np.full(shape, 7.0)
+        elif bad == "strided":
+            out = np.full((2 * shape[0],) + shape[1:], 7, dtype=np.complex128)[::2]
+        elif bad == "fortran":
+            # A 1-D array is C-contiguous in either order: against a 1-D
+            # state the column-major out has a second axis too.
+            out = np.full(shape if batch else (shape[0], 2), 7, dtype=np.complex128, order="F")
+        elif bad in ("short", "long"):
+            rows = shape[0] // 2 if bad == "short" else 2 * shape[0]
+            out = np.full((rows,) + shape[1:], 7, dtype=np.complex128)
+        elif bad == "extra-axis":
+            out = np.full(shape + (1,), 7, dtype=np.complex128)
+        else:
+            out = np.full(shape, 7, dtype=np.complex128)
+            out.flags.writeable = False
+        before = out.copy()
+        with pytest.raises(qk.DimensionMismatchError):
+            qk.InstanceApplier(inst)(state, out)
+        assert np.array_equal(out, before)
+
+    def test_the_compiled_loops_are_where_scipy_keeps_them(self):
+        # The applier calls these four entry points of scipy's private
+        # _sparsetools module, the loops B @ x and B.T @ y reach; a scipy
+        # that moves or renames them fails here.
+        from scipy.sparse import _sparsetools
+
+        applier = qk.InstanceApplier(qk.QsatInstance(2, [qk.basis_term((0,), "1")]))
+        assert applier._loops is _sparsetools
+        for name in ("csr_matvec", "csc_matvec", "csr_matvecs", "csc_matvecs"):
+            assert callable(getattr(_sparsetools, name))
 
     def test_backend_name_reports_selection(self):
         assert qk.backend_name() == "pure-python"

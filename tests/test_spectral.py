@@ -460,11 +460,14 @@ class TestGroundEnergy:
         # Ritz coefficients, so the replay must match the first pass bit
         # for bit, here far past the loss of orthogonality.
         inst = random_instance(np.random.Generator(np.random.Philox(key=9)), 9, 18, k=3)
+        # A yielded vector is valid until the next step, so each is copied.
         applier, dim = kernels.InstanceApplier(inst), 1 << 9
-        first = list(itertools.islice(spectral._lanczos(applier, dim), 300))
+        first = [(v.copy(), alpha, beta) for v, alpha, beta
+                 in itertools.islice(spectral._lanczos(applier, dim), 300)]
         alphas = [alpha for _, alpha, _ in first]
         betas = [beta for _, _, beta in first]
-        replay = list(spectral._lanczos(applier, dim, alphas, betas))
+        replay = [(v.copy(), alpha, beta) for v, alpha, beta
+                  in spectral._lanczos(applier, dim, alphas, betas)]
         assert len(replay) == 300
         for (v, _, _), (w, _, _) in zip(first, replay):
             assert np.array_equal(v, w)
@@ -493,9 +496,9 @@ class TestGroundEnergy:
         matvecs, passes = [], []
         apply, lanczos = kernels.InstanceApplier.__call__, spectral._lanczos
 
-        def counted_apply(self, state):
+        def counted_apply(self, state, out=None):
             matvecs.append(1)
-            return apply(self, state)
+            return apply(self, state, out)
 
         def counted_lanczos(applier, dim, alphas=None, betas=None, start=None):
             passes.append(0)
@@ -508,6 +511,30 @@ class TestGroundEnergy:
         spectral._krylov_ground_pair(inst)
         assert len(matvecs) == passes[0] + 1
         assert len(passes) == 1
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_writing_into_the_recurrence_leaves_the_krylov_pair_bit_for_bit(
+        self, monkeypatch, n
+    ):
+        # Every matvec of the recurrence and the residual writes into a
+        # vector the solve holds; an applier that allocates each result
+        # instead, as with out=None, gives the same pair.
+        inst = random_instance(np.random.Generator(np.random.Philox(key=400 + n)), n, n, k=3)
+        apply, outs = kernels.InstanceApplier.__call__, []
+
+        def counted_apply(self, state, out=None):
+            outs.append(out is not None)
+            return apply(self, state, out)
+
+        monkeypatch.setattr(kernels.InstanceApplier, "__call__", counted_apply)
+        lam, vec, residual = spectral._krylov_ground_pair(inst)
+        assert outs and all(outs)
+        monkeypatch.setattr(kernels.InstanceApplier, "__call__",
+                            lambda self, state, out=None: apply(self, state))
+        fresh = spectral._krylov_ground_pair(inst)
+        assert lam == fresh[0]
+        assert np.array_equal(vec, fresh[1])
+        assert residual == fresh[2]
 
     def test_krylov_handles_single_qubit_instances(self):
         blocked = qk.QsatInstance(
@@ -603,8 +630,9 @@ class TestGroundEnergy:
         assert filtered["exact"] <= counts["exact"] - filtered["exact"]
 
     def test_a_filter_that_never_verifies_checks_every_checkpoint(self, monkeypatch):
-        # Every checkpoint after a pass's first runs the filter and, when it
-        # declines, the exact check: one exact check per checkpoint.
+        # Every checkpoint from _FILTER_FROM steps of a pass on runs the
+        # filter and, when it declines, the exact check; the earlier ones run
+        # the exact check alone: one exact check per checkpoint.
         inst = _key_71_instance()
         reference = spectral._krylov_ground_pair(inst)
         steps = []
@@ -621,8 +649,11 @@ class TestGroundEnergy:
         assert (lam, residual) == (reference[0], reference[2])
         assert np.array_equal(vec, reference[1])
         checkpoints = sum(-(-s // spectral._RITZ_CHECK) for s in steps)
+        unfiltered = sum(min(-(-s // spectral._RITZ_CHECK),
+                             (spectral._FILTER_FROM - 1) // spectral._RITZ_CHECK)
+                         for s in steps)
         assert counts["exact"] == checkpoints
-        assert counts["filtered"] == checkpoints - len(steps)
+        assert counts["filtered"] == checkpoints - unfiltered
 
     def test_the_degenerate_instance_makes_few_exact_checks(self, monkeypatch):
         # Its pass runs 940 steps, 47 checkpoints; the estimate settles all
