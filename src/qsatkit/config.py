@@ -34,14 +34,22 @@ DENSE_CUTOFF = 7
 # The cutoff also marks where the byte limit of decide_sat's null-space
 # witness starts: up to it the basis is unlimited, as the cross-check always
 # was; above it, no array of the basis may exceed WITNESS_MAX_VECTORS x 2^n
-# complex amplitudes.
+# complex amplitudes.  A verdict runs on the qubits its terms touch, but n
+# here is the declared register, as it was when the verdict ran on the
+# register: keyed to the touched qubits, the smaller limit refused the
+# witness of 2 of 848 verdicts of a seeded qsatbench-style population at
+# n = 6-14, which then lost their null-space dimension to the dense or
+# Krylov route; keyed to the register, none moved.
 NULLSPACE_CROSSCHECK_CUTOFF = 10
 
-# Register-sized vectors that one array of the null-space witness may hold
-# above NULLSPACE_CROSSCHECK_CUTOFF: 32 MiB at n = 15 and 1 GiB at n = 20.
-# A basis that would outgrow it gives no witness, and the spectral route
-# decides instead.  The largest array of the planted n = 15 witness of the
-# qsatbench large_krylov workload is 1 MiB.
+# Vectors of the declared register (see NULLSPACE_CROSSCHECK_CUTOFF) that
+# one array of the null-space witness may hold above
+# NULLSPACE_CROSSCHECK_CUTOFF: 32 MiB at n = 15 and 1 GiB at n = 20, where
+# a register wider than max_qubits() counts as max_qubits() qubits, so the
+# limit stays within 1 GiB at the default ceiling.  A basis that would
+# outgrow it gives no witness, and the spectral route decides instead.  The
+# largest array of the planted n = 15 witness of the qsatbench large_krylov
+# workload is 1 MiB.
 WITNESS_MAX_VECTORS = 64
 
 NORM_TOL = 1e-10          # | ||amplitudes|| - 1 |

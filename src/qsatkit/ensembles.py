@@ -12,10 +12,10 @@ independent of evaluation order.  A trial draws all its terms with one
 
 The structure is validated once, before anything is drawn, and the trials
 are decided by ``spectral._decide``, the pipeline ``decide_sat`` runs on a
-stack of one, in stacks of as many trials as ``STACK_BYTES`` holds of the
-larger of an operator on the t touched qubits and a register state, which
-bounds every array of a stack: 4^(8 - n) trials up to 8 qubits, all touched,
-and 64 for triangle-double on 10 qubits.  The bound does not follow
+stack of one, on the t qubits the structure touches.  A stack holds as many
+trials as ``STACK_BYTES`` holds of an operator on those qubits, which bounds
+every array of a stack: 4^(8 - t) trials whatever the register, 1,024 for
+triangle-double on 3 qubits or on 200.  The bound does not follow
 ``config.DENSE_CUTOFF``, and memory does not grow with the trial count.
 """
 
@@ -112,13 +112,13 @@ def sample_ensemble(num_qubits, supports, trials, seed) -> EnsembleResult:
     _check_seed(seed)
     supports = [tuple(int(q) for q in s) for s in supports]
     dims = [1 << len(s) for s in supports]
-    # Raises ValidationError for a bad structure, or CapacityError above the
-    # qubit ceiling, before anything is drawn.
+    # Raises ValidationError for a bad structure, or CapacityError when it
+    # touches more qubits than the ceiling, before anything is drawn.
     QsatInstance(num_qubits, [RankOneTerm(s, np.eye(1, d)[0]) for s, d in zip(supports, dims)])
-    _check_method(num_qubits, "auto")
-    # A structure with no terms has no stack axis: one trial at a time.
     touched = len({q for s in supports for q in s})
-    chunk = max(1, STACK_BYTES // (16 << max(2 * touched, num_qubits))) if supports else 1
+    _check_method(num_qubits, "auto", touched)
+    # A structure with no terms has no stack axis: one trial at a time.
+    chunk = max(1, STACK_BYTES // (16 << 2 * touched)) if supports else 1
     counts = {SATISFIABLE: 0, UNSATISFIABLE: 0, INDETERMINATE: 0}
     for start in range(0, trials, chunk):
         states = _draw(seed, range(start, min(trials, start + chunk)), dims)

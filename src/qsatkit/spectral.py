@@ -17,11 +17,11 @@ touched register and the basis width rather than 2^n: 0.5-6.3 ms at
 n = 8-10 on qsatbench-style planted, frustrated and Haar instances (one
 OpenBLAS thread), where a 2^n-row basis took 0.6-0.7 s at n = 10.  It
 decides too: ``decide_sat(method="auto")`` first embeds one basis vector
-into the register as a witness and accepts it as a satisfiable verdict when
-its energy, summed term by term over the fibers, is within tolerance, so a
-satisfiable instance needs no eigensolver (an n = 15 planted verdict took
-about 40 ms against seconds of Lanczos).  Otherwise it cross-checks the
-spectral verdict.
+into the touched qubits as a witness and accepts it as a satisfiable
+verdict when its energy, summed term by term over the fibers, is within
+tolerance, so a satisfiable instance needs no eigensolver (an n = 15
+planted verdict took about 40 ms against seconds of Lanczos).  Otherwise
+it cross-checks the spectral verdict.
 
 Every ground energy is a sum over connected components: projectors on
 disjoint qubits act on separate tensor factors, so lambda0 is the sum of
@@ -41,8 +41,11 @@ register whole.
 most ``config.DENSE_CUTOFF`` = 7 qubits and Krylov otherwise: in
 ``BENCH_routes.json`` (written by ``benchmarks/bench_routes.py``, binned by
 the widest component) Krylov took a median 1.43x the dense time at a
-widest component of 7 qubits and 0.49x at 8.  No solve accepts a register
-above ``config.max_qubits()`` qubits.  Memory has one rule: each route
+widest component of 7 qubits and 0.49x at 8.  A verdict (``_decide``)
+runs on the qubits its terms touch, relabelled in order, and
+``config.max_qubits()`` bounds those, not the register; ``ground_energy``,
+whose vector has 2^n amplitudes, and ``restricted_ground_energy`` bound the
+register, or its free qubits.  Memory has one rule: each route
 compares its own byte estimate with physical memory
 (``config.require_memory``) before it allocates, per component when a
 stack is split: ``_dense_bytes`` in ``_assemble_stack``, which every dense
@@ -565,13 +568,50 @@ def _ritz_pass(applier, dim, kept, tol, budget, start):
     return theta, vec, steps, converged
 
 
-def _check_method(n, method):
-    """Raise on a ``method`` that cannot run on an ``n``-qubit register: one
-    above ``config.max_qubits()``, or an unknown method.  The route "auto"
-    takes is chosen by ``_component_pairs``, from the widest connected
-    component, and each route refuses by its own bytes."""
-    if n > config.max_qubits():
-        raise CapacityError(f"instance has {n} qubits; the ceiling is {config.max_qubits()}")
+# The widest register a verdict or a null-space dimension accepts.  The
+# dimension is an exact int of up to 2^n, and 2^14,284 is the largest power
+# of two with at most 4,300 digits, Python's default limit on int-to-str
+# conversion: past it str, json.dumps and json.loads raise ValueError.  A
+# constant rather than ``sys.int_info.default_max_str_digits``, which
+# Python 3.10 has only from 3.10.7 on.
+MAX_REGISTER_QUBITS = 14_284
+
+
+def _check_register(n):
+    """Raise CapacityError on a register above ``MAX_REGISTER_QUBITS``."""
+    if n > MAX_REGISTER_QUBITS:
+        raise CapacityError(
+            f"instance has {n} qubits; a null-space dimension of up to 2^{n} would "
+            f"not print, and the limit is {MAX_REGISTER_QUBITS} qubits"
+        )
+
+
+def _register_dim(width, num_qubits, touched):
+    """The null-space dimension on a register of ``num_qubits`` of a basis of
+    ``width`` vectors on ``touched`` of its qubits, as an exact int: each
+    idle qubit doubles it, so it is ``width << (num_qubits - touched)``.  A
+    register above ``MAX_REGISTER_QUBITS`` raises CapacityError."""
+    _check_register(num_qubits)
+    return width << (num_qubits - touched)
+
+
+def _check_method(n, method, touched=None):
+    """Raise on a ``method`` that cannot run on an ``n``-qubit register, or
+    an unknown method.  Without ``touched``, a solve on the whole register,
+    the register may not exceed ``config.max_qubits()``.  With it, the count
+    of qubits a verdict's terms touch, those may not, and the register may
+    not exceed ``MAX_REGISTER_QUBITS``.  The route "auto" takes is chosen by
+    ``_component_pairs``, from the widest connected component, and each
+    route refuses by its own bytes."""
+    ceiling = config.max_qubits()
+    if touched is None and n > ceiling:
+        raise CapacityError(f"instance has {n} qubits; the ceiling is {ceiling}")
+    if touched is not None:
+        _check_register(n)
+        if touched > ceiling:
+            raise CapacityError(
+                f"instance touches {touched} of its {n} qubits; the ceiling is {ceiling}"
+            )
     if method not in ("auto", "dense", "krylov"):
         raise ArgumentError(f"unknown method {method!r}")
 
@@ -652,7 +692,7 @@ def _components(supports) -> list:
 
 
 def _component_pairs(num_qubits, supports, actions, method, vectors=False,
-                     what="the instance", solved=None):
+                     what="the instance", solved=None, labels=None):
     """The ground-state stage over connected components: ``(route, pairs)``,
     the route that ran and, for each instance of a stack on one structure
     (``actions`` as in ``_local_nullspace_basis``), its pair ``(lambda0,
@@ -674,8 +714,9 @@ def _component_pairs(num_qubits, supports, actions, method, vectors=False,
     takes that route.  A component whose solve the route refuses by its
     bytes raises CapacityError, with ``what`` naming the operator, before
     that solve allocates.  A component's pair that ``_ground_pairs``
-    rejects raises ConvergenceError naming the component's qubits and
-    carrying its pair, on those qubits.
+    rejects raises ConvergenceError naming the component's qubits, as
+    ``labels`` (None: as they are) names the supports' qubits, and carrying
+    its pair, on those qubits.
 
     One component with every term on the whole register goes to
     ``_ground_pairs`` as it is, so a connected instance gets the unsplit
@@ -718,8 +759,9 @@ def _component_pairs(num_qubits, supports, actions, method, vectors=False,
             try:
                 solved[key] = tuple(zip(*solve(len(group_qubits), group_supports, group_actions)))
             except ConvergenceError as exc:
+                names = group_qubits if labels is None else [labels[q] for q in group_qubits]
                 raise ConvergenceError(
-                    f"{what}, connected component on qubits {group_qubits}: {exc}",
+                    f"{what}, connected component on qubits {names}: {exc}",
                     best_lambda0=exc.best_lambda0,
                     best_vector=exc.best_vector,
                 ) from None
@@ -873,10 +915,12 @@ def _witnesses(num_qubits, supports, actions, max_bytes=None):
     kept instance (None when the dimension is 0), and ``kept``.
 
     The state is the first column of the instance's local basis L on the
-    touched qubits, with every other qubit at |0>.
+    touched qubits, with every other qubit at |0>: (T, 2^n) amplitudes on
+    the register it is given, which ``_decide`` makes the touched qubits
+    alone.
     """
     basis, touched, kept = _local_nullspace_basis(supports, actions, max_bytes)
-    dim = basis.shape[2] << (num_qubits - len(touched))
+    dim = _register_dim(basis.shape[2], num_qubits, len(touched))
     if not dim:
         return 0, None, kept
     psi = np.zeros((len(basis), 1 << num_qubits), dtype=np.complex128)
@@ -902,25 +946,32 @@ def nullspace_witness(instance: QsatInstance, max_bytes=None):
     state in it (None when the dimension is 0).
 
     The state is the first column of the local basis L on the touched qubits,
-    with every other qubit at |0>.  No eigensolver is involved, which makes
-    this an independent check on ground_energy.  ``max_bytes`` bounds every
-    array the basis builds; a larger one raises CapacityError before it is
-    allocated.
+    with every other qubit at |0>, 2^n amplitudes on the whole register.  No
+    eigensolver is involved, which makes this an independent check on
+    ground_energy.  A state larger than physical memory, or a register above
+    ``MAX_REGISTER_QUBITS``, raises CapacityError before the basis is built;
+    ``max_bytes`` bounds every array the basis builds, and a larger one
+    raises CapacityError before it is allocated.
     """
-    dim, psi, _ = _witnesses(
-        instance.num_qubits, instance.supports(), _actions(instance.terms), max_bytes
-    )
+    n = instance.num_qubits
+    _check_register(n)
+    config.require_memory(16 << n, f"a null-space witness state on {n} qubits")
+    dim, psi, _ = _witnesses(n, instance.supports(), _actions(instance.terms), max_bytes)
     return dim, None if psi is None else psi[0]
 
 
 def common_nullspace_dim(instance: QsatInstance) -> int:
     """Dimension of the intersection of the terms' null spaces, from the
-    local basis of ``nullspace_witness`` with no witness state built.  No
-    array of the basis may exceed physical memory."""
+    local basis of ``nullspace_witness`` with no witness state built, as an
+    exact int (``_register_dim``).  No array of the basis may exceed
+    physical memory, and a register above ``MAX_REGISTER_QUBITS`` raises
+    CapacityError before the basis is built."""
+    n = instance.num_qubits
+    _check_register(n)
     basis, touched, _ = _local_nullspace_basis(
         instance.supports(), _actions(instance.terms), config.physical_memory()
     )
-    return basis.shape[2] << (instance.num_qubits - len(touched))
+    return _register_dim(basis.shape[2], n, len(touched))
 
 
 def _tag(lambda0, num_terms, nullspace_dim):
@@ -944,29 +995,45 @@ def decide_sat(instance: QsatInstance, method: str = "auto") -> SatVerdict:
     """Three-way verdict from the ground energy, with an explicit
     indeterminate band between the satisfiable and unsatisfiable thresholds.
 
-    With ``method="auto"`` a null-space witness comes first: when its energy
-    is within ``sat_tolerance``, the instance is satisfiable
-    (``method="nullspace"``, the witness energy as ``lambda0``, an upper
-    bound on the ground energy) and no eigensolver runs.  Up to
-    ``config.NULLSPACE_CROSSCHECK_CUTOFF`` qubits the basis has no size
-    limit; above it, no array of it may hold more than
-    ``config.WITNESS_MAX_VECTORS`` register-sized vectors.  Otherwise the spectral verdict is cross-checked
-    against the null-space dimension, computed on small instances when the
-    witness did not run; any disagreement downgrades it to indeterminate
-    rather than guessing.
+    Every stage runs on the qubits the terms touch (``_decide``), so
+    ``config.max_qubits()`` bounds those, not the register, which may have
+    up to ``MAX_REGISTER_QUBITS`` qubits.  With ``method="auto"`` a
+    null-space witness comes first: when its energy is within
+    ``sat_tolerance``, the instance is satisfiable (``method="nullspace"``,
+    the witness energy as ``lambda0``, an upper bound on the ground energy)
+    and no eigensolver runs.  Up to ``config.NULLSPACE_CROSSCHECK_CUTOFF``
+    qubits of the register the basis has no size limit; above it, no array
+    of it may hold more than ``config.WITNESS_MAX_VECTORS`` vectors of the
+    register, or of ``config.max_qubits()`` qubits if that is fewer.
+    Otherwise the spectral verdict is cross-checked against the null-space
+    dimension, computed on small registers when the witness did not run;
+    any disagreement downgrades it to indeterminate rather than guessing.
     """
     return _decide(instance.num_qubits, instance.supports(), _actions(instance.terms), method)[0]
 
 
 def _decide(num_qubits, supports, actions, method="auto") -> list:
     """``decide_sat`` for a stack of instances on one structure, one verdict
-    per instance; ``actions`` are as in ``_local_nullspace_basis``.  An
-    instance that leaves the stack there is decided alone.  The instances
-    that no witness decides are tagged from the pairs of the ground-state
-    stage ``_component_pairs``.
+    per instance; ``actions`` are as in ``_local_nullspace_basis``.
+
+    The t qubits the terms touch are relabelled onto 0..t-1 in ascending
+    order, and the witness, its energy, the null-space cross-check and
+    ``_component_pairs`` run on them: an idle qubit doubles the null space
+    and changes nothing else.  ``_check_method`` bounds t by the ceiling.
+    The register's n qubits set the null-space dimension
+    (``_register_dim``), the byte limit of the witness and the cross-check
+    cutoff, as they did when the stages ran on the register, so no route
+    moves (see ``config.NULLSPACE_CROSSCHECK_CUTOFF``).  An instance that
+    leaves the stack in ``_local_nullspace_basis`` is decided alone.
+    The instances that no witness decides are tagged from the pairs of the
+    ground-state stage.
     """
     n, m = num_qubits, len(supports)
-    _check_method(n, method)
+    touched = sorted({q for support in supports for q in support})
+    t = len(touched)
+    _check_method(n, method, t)
+    label = {q: i for i, q in enumerate(touched)}
+    local = [tuple(label[q] for q in support) for support in supports]
     verdicts = [None] * (len(actions[0]) if m else 1)
     todo = np.arange(len(verdicts))
     dim = psi = None
@@ -974,26 +1041,28 @@ def _decide(num_qubits, supports, actions, method="auto") -> list:
     if witness or n <= config.NULLSPACE_CROSSCHECK_CUTOFF:
         max_bytes = None
         if n > config.NULLSPACE_CROSSCHECK_CUTOFF:
-            max_bytes = config.WITNESS_MAX_VECTORS * 16 << n
+            max_bytes = config.WITNESS_MAX_VECTORS * 16 << min(n, config.max_qubits())
         try:
-            dim, psi, todo = _witnesses(n, supports, actions, max_bytes)
+            dim, psi, todo = _witnesses(t, local, actions, max_bytes)
         except CapacityError:
             pass  # Over the byte limit: no witness, and no dimension to cross-check.
+        else:
+            dim = _register_dim(dim, n, t)
         # np.setdiff1d alone costs about 50 us, which a stack of one notices.
         if len(todo) < len(verdicts):
-            for t in np.setdiff1d(np.arange(len(verdicts)), todo):
-                verdicts[t] = _decide(n, supports, [a[t:t + 1] for a in actions], method)[0]
+            for i in np.setdiff1d(np.arange(len(verdicts)), todo):
+                verdicts[i] = _decide(n, supports, [a[i:i + 1] for a in actions], method)[0]
     if witness and psi is not None:
-        energies = _energies(n, supports, [a[todo] for a in actions], psi)
+        energies = _energies(t, local, [a[todo] for a in actions], psi)
         sat = energies <= sat_tolerance(m)
-        for t, energy in zip(todo[sat], energies[sat]):
-            verdicts[t] = SatVerdict(SATISFIABLE, max(float(energy), 0.0), dim, "nullspace")
+        for i, energy in zip(todo[sat], energies[sat]):
+            verdicts[i] = SatVerdict(SATISFIABLE, max(float(energy), 0.0), dim, "nullspace")
         todo = todo[~sat]
     if not len(todo):
         return verdicts
-    route, pairs = _component_pairs(n, supports, [a[todo] for a in actions], method)
-    for t, (lam, _, _) in zip(todo, pairs):
-        verdicts[t] = SatVerdict(_tag(lam, m, dim), lam, dim, route)
+    route, pairs = _component_pairs(t, local, [a[todo] for a in actions], method, labels=touched)
+    for i, (lam, _, _) in zip(todo, pairs):
+        verdicts[i] = SatVerdict(_tag(lam, m, dim), lam, dim, route)
     return verdicts
 
 

@@ -148,6 +148,39 @@ class TestSolve:
         assert payload["lambda0"] == 0.0
         assert payload["verdict"] == "satisfiable"
 
+    @pytest.mark.parametrize("num_qubits", [40, 200, spectral.MAX_REGISTER_QUBITS])
+    def test_padded_figures_print_their_exact_dimension(
+            self, capsys, tmp_path, figure_a, figure_b, num_qubits):
+        # A dimension past 2^63 is an exact int in both outputs.
+        path = tmp_path / "padded.json"
+        for figure, want, dim in ((figure_a, 0, 1 << (num_qubits - 2)), (figure_b, 1, 0)):
+            qk.save_instance(path, qk.QsatInstance(num_qubits, figure.terms))
+            code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+            assert code == want
+            assert json.loads(out)["nullspace_dim"] == dim
+            code, out, _ = run_cli(capsys, "solve", str(path))
+            assert code == want
+            assert f"nullspace_dim: {dim}" in out.splitlines()
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_a_dimension_that_would_not_print_exits_capacity(
+            self, capsys, tmp_path, figure_a, mode):
+        num_qubits = spectral.MAX_REGISTER_QUBITS + 1
+        path = tmp_path / "padded.json"
+        qk.save_instance(path, qk.QsatInstance(num_qubits, figure_a.terms))
+        argv = ("solve", str(path), *mode)
+        run_cli(capsys, *argv)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CAPACITY == 5
+        assert out == ""
+        assert f"instance has {num_qubits} qubits; a null-space dimension" in err
+        assert peak < 1 << 20
+
     def test_unexpected_error_exits_internal(self, capsys, monkeypatch):
         def fail(num_qubits, supports, actions, max_bytes=None):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -352,12 +385,14 @@ class TestReduce:
         assert "satisfiable" in err
 
     def test_capacity_still_writes_the_construction(self, capsys, tmp_path, monkeypatch):
-        # Verification decides the input by decide_sat, which refuses a
-        # register above QSAT_MAX_QUBITS; construction has no ceiling.
+        # Verification decides the input by decide_sat, which refuses an
+        # instance that touches more qubits than QSAT_MAX_QUBITS; construction
+        # has no ceiling.  A singlet chain 0-1 ... 12-13 touches all 14.
         monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
         monkeypatch.setenv("QSAT_MAX_QUBITS", "13")
         wide_path = tmp_path / "wide.json"
-        qk.save_instance(wide_path, qk.QsatInstance(14, [qk.singlet_term(0, 13)]))
+        chain = [qk.singlet_term(q, q + 1) for q in range(13)]
+        qk.save_instance(wide_path, qk.QsatInstance(14, chain))
         out_path = tmp_path / "wide.k3.json"
         code, _, err = run_cli(
             capsys, "reduce", str(wide_path), "--target-k", "3",
@@ -365,9 +400,9 @@ class TestReduce:
         )
         assert code == 5
         assert out_path.exists()
-        assert qk.load_instance(out_path).num_qubits == 14 + 1 + 3
+        assert qk.load_instance(out_path).num_qubits == 14 + 13 * (1 + 3)
         assert "error:" in err
-        assert "14 qubits; the ceiling is 13" in err
+        assert "touches 14 of its 14 qubits; the ceiling is 13" in err
 
     @pytest.mark.parametrize("figure", ["figure-a", "figure-b"])
     def test_paper_scale_outputs_are_verified(self, capsys, tmp_path, figure):

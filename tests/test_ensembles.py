@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -221,20 +222,32 @@ class TestSampleEnsemble:
         result = qk.sample_ensemble(num_qubits, supports, 1024, seed=3)
         assert calls == [1024]
         assert result.trials == 1024
-        # On 10 qubits the (T, 2^10) witness states bound the stack, not the
-        # 3 touched qubits: 64 trials.
+        # On 10 qubits the trials are decided on the 3 touched qubits, so
+        # the 7 idle ones leave the stack as it is: 128 trials in one.
         calls.clear()
         assert qk.sample_ensemble(10, supports, 128, seed=3).trials == 128
-        assert calls == [64, 64]
+        assert calls == [128]
 
     def test_structures_above_the_ceiling_are_refused_before_drawing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("trials were drawn")
 
         monkeypatch.setenv("QSAT_MAX_QUBITS", "4")
+        drawn = qk.ensembles._draw
         monkeypatch.setattr(qk.ensembles, "_draw", no_draw)
-        with pytest.raises(qk.CapacityError, match="ceiling is 4"):
-            qk.sample_ensemble(5, [(0, 1), (3, 4)], 10**9, seed=1)
+        with pytest.raises(qk.CapacityError, match="touches 5 of its 5 qubits; the ceiling is 4"):
+            qk.sample_ensemble(5, [(0, 1), (2, 3), (3, 4)], 10**9, seed=1)
+        # The ceiling bounds the touched qubits, not the register: these
+        # two edges touch 4 of the 5.
+        monkeypatch.setattr(qk.ensembles, "_draw", drawn)
+        assert qk.sample_ensemble(5, [(0, 1), (3, 4)], 10, seed=1).trials == 10
+
+    @pytest.mark.parametrize("num_qubits", [24, 200])
+    def test_idle_qubits_leave_the_tally(self, num_qubits):
+        _, supports = qk.triangle_double_structure()
+        touched = qk.sample_ensemble(3, supports, 300, seed=7)
+        padded = qk.sample_ensemble(num_qubits, supports, 300, seed=7)
+        assert dataclasses.astuple(padded) == dataclasses.astuple(touched)
 
     def test_trials_off_the_stack_are_decided_alone(self):
         # Trial 1 repeats its first projector, so its null space is one

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 import tracemalloc
 
 import numpy as np
@@ -988,6 +989,115 @@ class TestDecideSat:
         # Many stacked copies of a satisfiable projector must stay sat.
         inst = qk.QsatInstance(2, [qk.singlet_term(0, 1)] * 400)
         assert qk.decide_sat(inst).tag == qk.SATISFIABLE
+
+
+def _compacted(inst):
+    """The instance on the qubits it touches, relabelled onto 0..t-1 in
+    ascending order."""
+    touched = sorted({q for support in inst.supports() for q in support})
+    label = {q: i for i, q in enumerate(touched)}
+    terms = [replace(t, support=tuple(label[q] for q in t.support)) for t in inst.terms]
+    return qk.QsatInstance(max(1, len(touched)), terms)
+
+
+class TestIdleQubits:
+    """A verdict runs on the qubits its terms touch: an idle qubit doubles
+    the null space and changes nothing else, and the ceiling bounds the
+    touched qubits, not the register."""
+
+    @pytest.mark.parametrize("num_qubits", [40, 200, spectral.MAX_REGISTER_QUBITS])
+    def test_padded_figures_are_decided(self, figure_a, figure_b, num_qubits):
+        padded_a = qk.QsatInstance(num_qubits, figure_a.terms)
+        verdict = qk.decide_sat(padded_a)
+        assert (verdict.tag, verdict.method) == (qk.SATISFIABLE, "nullspace")
+        assert verdict.nullspace_dim == 1 << (num_qubits - 2)
+        assert qk.common_nullspace_dim(padded_a) == 1 << (num_qubits - 2)
+        padded_b = qk.QsatInstance(num_qubits, figure_b.terms)
+        verdict = qk.decide_sat(padded_b)
+        assert (verdict.tag, verdict.nullspace_dim) == (qk.UNSATISFIABLE, 0)
+        assert verdict.lambda0 == qk.decide_sat(figure_b).lambda0
+        assert qk.common_nullspace_dim(padded_b) == 0
+
+    @pytest.mark.parametrize("num_qubits", [spectral.MAX_REGISTER_QUBITS + 1, 10**15])
+    def test_a_dimension_that_would_not_print_is_refused(self, figure_a, num_qubits):
+        inst = qk.QsatInstance(num_qubits, figure_a.terms)
+        tracemalloc.start()
+        try:
+            for refused in (qk.decide_sat, qk.common_nullspace_dim, qk.nullspace_witness):
+                with pytest.raises(qk.CapacityError, match=f"up to 2\\^{num_qubits} would not print"):
+                    refused(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("num_qubits", [40, 70])
+    def test_a_witness_state_past_memory_is_refused(self, monkeypatch, figure_a, num_qubits):
+        monkeypatch.setattr(qk.config, "physical_memory", lambda: 1 << 33)
+        with pytest.raises(qk.CapacityError, match=f"witness state on {num_qubits} qubits"):
+            qk.nullspace_witness(qk.QsatInstance(num_qubits, figure_a.terms))
+
+    def test_a_padded_witness_is_the_touched_one_embedded(self, figure_a):
+        dim, psi = qk.nullspace_witness(figure_a)
+        padded_dim, padded_psi = qk.nullspace_witness(qk.QsatInstance(20, figure_a.terms))
+        assert (dim, padded_dim) == (2, 1 << 18)
+        assert qk.common_nullspace_dim(qk.QsatInstance(20, figure_a.terms)) == 1 << 18
+        expected = np.zeros(1 << 20, dtype=np.complex128)
+        expected[kernels.fiber_layout(20, (0, 1, 2))[1]] = psi
+        assert np.array_equal(padded_psi, expected)
+
+    @given(mixed_instances(max_qubits=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_idle_qubits_leave_the_verdict(self, inst, data):
+        # Up to the cross-check cutoff the register sets nothing but the
+        # dimension, so each route gives the compacted instance's verdict,
+        # bit for bit.
+        n = data.draw(st.integers(inst.num_qubits + 1, 10))
+        place = data.draw(st.permutations(range(n)))
+        padded = qk.QsatInstance(n, [
+            replace(t, support=tuple(place[q] for q in t.support)) for t in inst.terms
+        ])
+        compact = _compacted(padded)
+        for method in ("auto", "dense", "krylov"):
+            verdict = qk.decide_sat(padded, method)
+            local = qk.decide_sat(compact, method)
+            assert (verdict.tag, verdict.method) == (local.tag, local.method)
+            assert repr(verdict.lambda0) == repr(local.lambda0)
+            assert verdict.nullspace_dim == local.nullspace_dim << (n - compact.num_qubits)
+
+    def test_the_witness_limit_stays_keyed_to_the_register(self):
+        # 11 qubits, 10 of them touched: the witness keeps the byte limit of
+        # an 11-qubit register, WITNESS_MAX_VECTORS x 2^11 amplitudes, and
+        # the 9-local term widens the basis past it, so Krylov decides, as
+        # it did when the witness ran on the register.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        inst = qk.QsatInstance(11, [
+            qk.haar_random_term((0, 1), rng),
+            qk.haar_random_term(tuple(range(1, 10)), rng),
+        ])
+        verdict = qk.decide_sat(inst)
+        assert (verdict.tag, verdict.method, verdict.nullspace_dim) == (
+            qk.SATISFIABLE, "krylov", None
+        )
+
+    def test_a_failed_component_is_named_by_its_register_qubits(self, monkeypatch, figure_b):
+        def fail(instance):
+            raise qk.ConvergenceError("did not converge", best_lambda0=0.5)
+
+        monkeypatch.setattr(spectral, "_krylov_ground_pair", fail)
+        inst = qk.QsatInstance(12, [qk.singlet_term(3, 5), qk.singlet_term(7, 9)])
+        with pytest.raises(qk.ConvergenceError, match=r"on qubits \[3, 5\]") as exc:
+            qk.decide_sat(inst, method="krylov")
+        assert exc.value.best_lambda0 == 0.5
+
+    def test_the_ceiling_bounds_the_touched_qubits(self, monkeypatch, figure_b):
+        monkeypatch.setenv("QSAT_MAX_QUBITS", "3")
+        assert qk.decide_sat(qk.QsatInstance(30, figure_b.terms)).tag == qk.UNSATISFIABLE
+        with pytest.raises(qk.CapacityError, match="touches 4 of its 30 qubits; the ceiling is 3"):
+            qk.decide_sat(qk.QsatInstance(30, [*figure_b.terms, qk.singlet_term(2, 29)]))
+        # ground_energy returns a vector on the whole register.
+        with pytest.raises(qk.CapacityError, match="instance has 30 qubits; the ceiling is 3"):
+            qk.ground_energy(qk.QsatInstance(30, figure_b.terms))
 
 
 class TestDominance:
