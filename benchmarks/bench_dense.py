@@ -40,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import qsatkit as qk  # noqa: E402
+from _common import machine  # noqa: E402
 from qsatkit import spectral  # noqa: E402
 
 QUBITS, QUICK_QUBITS = range(1, 9), range(1, 5)
@@ -106,15 +107,6 @@ def measure(stack, repeats):
     return statistics.median(times["heevr"]), statistics.median(times["eigh"]), gap
 
 
-def machine():
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {
-        "nproc": os.cpu_count(),
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -143,7 +135,7 @@ def main() -> None:
             })
             print(f"{size:>4} {count:>5}  {heevr:>11.2f}  {eigh:>10.2f}  {eigh / heevr:>9.2f}x")
     report = {
-        "machine": machine(),
+        "machine": machine(blas=True),
         "sweep": {
             "sizes": [1 << n for n in qubits], "stacks": list(STACKS), "repeats": repeats,
             "operators": "_assemble_stack of Haar rank-1 instances, 2n terms of locality min(n, 3)",

@@ -44,14 +44,10 @@ import argparse
 import collections
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
-from importlib import metadata
 from pathlib import Path
 
 # One OpenBLAS thread unless the caller asks for more: read when numpy loads,
@@ -59,8 +55,8 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
+from _common import ROOT, Worker, extract_src, machine, paired, serve  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
 QUBITS, QUICK_MAX_QUBITS = range(8, 15), 10
 ROUNDS = 7
 SEED = 1  # large_krylov's seed, which picks the near-FF frames
@@ -142,13 +138,11 @@ def worker(quick: bool) -> None:
     counts, seconds = collections.Counter(), collections.Counter()
     instrument(qk, counts, seconds)
     pairs = {}
-    print(json.dumps({"file": qk.__file__, "names": list(instances)}), flush=True)
-    for line in sys.stdin:
-        command = line.split()
+
+    def answer(command):
         if command[0] == "dump":
             np.savez(command[1], **pairs)
-            print("{}", flush=True)
-            continue
+            return {}
         name = command[0]
         instance, ref = instances[name]
         counts.clear()
@@ -161,50 +155,14 @@ def worker(quick: bool) -> None:
         pairs.update({f"{name}/lambda0": np.float64(lam), f"{name}/vector": vec,
                       f"{name}/residual": np.float64(residual)})
         checks = seconds["exact"] + seconds["filtered"]
-        print(json.dumps({
+        return {
             "n": instance.num_qubits, "m": instance.num_terms,
             "total_s": total, "matvec_s": seconds["matvec"], "checks_s": checks,
             "rest_s": total - seconds["matvec"] - checks,
             **{key: counts[key] for key in COUNTS},
-        }), flush=True)
+        }
 
-
-class Worker:
-    """A worker process on one tree's ``src/``."""
-
-    def __init__(self, src: Path, quick: bool):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src)
-        command = [sys.executable, __file__, "--worker"] + (["--quick"] if quick else [])
-        self.proc = subprocess.Popen(command, env=env, stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, text=True)
-        hello = self.ask(None)
-        if Path(hello["file"]).resolve().parent != (src / "qsatkit").resolve():
-            raise RuntimeError(f"imported qsatkit from {hello['file']}, not {src}")
-        self.names = hello["names"]
-
-    def ask(self, command):
-        if command is not None:
-            self.proc.stdin.write(command + "\n")
-            self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
-        return json.loads(line)
-
-    def close(self):
-        self.proc.stdin.close()
-        self.proc.wait()
-
-
-def extract_src(rev: str, into: Path) -> Path:
-    """The ``src/`` tree of git revision ``rev``, extracted under ``into``."""
-    archive = into / "src.tar"
-    subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), rev, "src"],
-                   check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    return into / "src"
+    serve({"file": qk.__file__, "names": list(instances)}, answer)
 
 
 def differences(checkout: Path, baseline: Path) -> list:
@@ -215,12 +173,6 @@ def differences(checkout: Path, baseline: Path) -> list:
         return [key for key in ours.files if not np.array_equal(ours[key], theirs[key])]
 
 
-def spread(values) -> dict:
-    """Median and quartiles."""
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
-
-
 def summarize(runs: list) -> dict:
     """One solve's counts, the same in every round, and median seconds."""
     first = runs[0]
@@ -228,29 +180,6 @@ def summarize(runs: list) -> dict:
         raise AssertionError("counts differ between rounds")
     return {"n": first["n"], "m": first["m"], **{key: first[key] for key in COUNTS},
             **{key: round(statistics.median(run[key] for run in runs), 6) for key in SECONDS}}
-
-
-def paired(checkout: list, baseline: list) -> dict:
-    """The checkout's time over the baseline's, round by round."""
-    ratios = [c["total_s"] / b["total_s"] for c, b in zip(checkout, baseline)]
-    return {"ratio": spread(ratios), "rounds": len(ratios),
-            "checkout_faster": sum(r < 1 for r in ratios)}
-
-
-def machine() -> dict:
-    def version(name):
-        try:
-            return metadata.version(name)
-        except metadata.PackageNotFoundError:
-            return None
-
-    return {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
-    }
 
 
 def main() -> None:
@@ -275,8 +204,8 @@ def main() -> None:
         workers = {}
         try:
             for tree, src in trees.items():
-                workers[tree] = Worker(src, args.quick)
-            names = workers["checkout"].names
+                workers[tree] = Worker(__file__, src, *(["--quick"] if args.quick else []))
+            names = workers["checkout"].hello["names"]
             runs = {tree: {name: [] for name in names} for tree in trees}
             for r in range(rounds):
                 for i, name in enumerate(names):
@@ -304,13 +233,14 @@ def main() -> None:
         line = (f"{name:<20} {row['steps']:>6} {row['exact']:>6} {row['filtered']:>8}"
                 f" {row['total_s'] * 1e3:>9.2f} {row['checks_s'] * 1e3:>9.2f}")
         if args.baseline:
-            pairs[name] = paired(runs["checkout"][name], runs["baseline"][name])
+            pairs[name] = paired([run["total_s"] for run in runs["checkout"][name]],
+                                 [run["total_s"] for run in runs["baseline"][name]])
             line += (f" {results['baseline'][name]['total_s'] * 1e3:>11.2f}"
                      f" {pairs[name]['ratio']['median']:>6.3f}"
                      f" {pairs[name]['checkout_faster']:>3}/{rounds}")
         print(line)
     report = {
-        "machine": machine(),
+        "machine": machine(versions=True),
         "settings": {
             "rounds": rounds, "baseline": args.baseline,
             "seconds": "median over the rounds of each solve",

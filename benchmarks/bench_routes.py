@@ -50,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import qsatkit as qk  # noqa: E402
+from _common import machine, spread  # noqa: E402
 
 QUBITS, SEEDS, REPEATS = range(6, 11), 4, 3
 QUICK_QUBITS, QUICK_SEEDS, QUICK_REPEATS = range(4, 7), 1, 1
@@ -142,32 +143,20 @@ def measure(instance, repeats):
     return statistics.median(times["dense"]), statistics.median(times["krylov"]), energies["dense"]
 
 
-def spread(values):
-    """Median, quartiles and total of a list of times in ms."""
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": q2, "q1": q1, "q3": q3, "total": sum(values)}
-
-
 def summarize(rows):
     dense = [r["dense_ms"] for r in rows]
     krylov = [r["krylov_ms"] for r in rows]
     ratios = [r["krylov_ms"] / r["dense_ms"] for r in rows]
-    q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+
+    def times(values):
+        return {**spread(values, None, method="inclusive"), "total": sum(values)}
+
     return {
         "instances": len(rows),
-        "dense_ms": spread(dense),
-        "krylov_ms": spread(krylov),
-        "krylov_over_dense": {"median": q2, "q1": q1, "q3": q3,
+        "dense_ms": times(dense),
+        "krylov_ms": times(krylov),
+        "krylov_over_dense": {**spread(ratios, None, method="inclusive"),
                               "min": min(ratios), "max": max(ratios)},
-    }
-
-
-def machine():
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {
-        "nproc": os.cpu_count(),
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 
@@ -230,7 +219,7 @@ def main() -> None:
     cutoff = max(wins) if wins else None
     print(f"implied cutoff: {cutoff}")
     report = {
-        "machine": machine(),
+        "machine": machine(blas=True),
         "sweep": {
             "qubits": list(qubits), "seeds": seeds, "repeats": repeats,
             "kinds": [f"{kind}-k{k}" for kind in KINDS for k in (2, 3)],

@@ -30,17 +30,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
-from importlib import metadata
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _common import ROOT, extract_src, machine, paired, spread
+
+# One OpenBLAS thread unless the caller asks for more, in the children,
+# which inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # name -> (qsat arguments, or None for the import alone; exit code; scipy-free)
 CASES = {
@@ -72,10 +73,7 @@ sys.exit(code)
 
 
 def child_env(src: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(src)
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    return env
+    return {**os.environ, "PYTHONPATH": str(src)}
 
 
 def run_case(src: Path, argv) -> dict:
@@ -109,13 +107,6 @@ def importtime(src: Path) -> dict:
     return modules
 
 
-def spread(values, scale=1e3) -> dict:
-    """Median and quartiles, in milliseconds by default."""
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": round(median * scale, 3), "q1": round(q1 * scale, 3),
-            "q3": round(q3 * scale, 3)}
-
-
 def top_imports(samples) -> list:
     """The modules with the largest median cumulative import time."""
     names = set().union(*samples)
@@ -129,34 +120,6 @@ def top_imports(samples) -> list:
         })
     rows.sort(key=lambda row: -row["cumulative_ms"])
     return rows[:TOP_IMPORTS]
-
-
-def extract_src(rev: str, into: Path) -> Path:
-    """The ``src/`` tree of git revision ``rev``, extracted under ``into``."""
-    archive = into / "src.tar"
-    subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), rev, "src"],
-                   check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    return into / "src"
-
-
-def machine() -> dict:
-    def version(name):
-        try:
-            return metadata.version(name)
-        except metadata.PackageNotFoundError:
-            return None
-
-    return {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "OPENBLAS_NUM_THREADS": child_env(ROOT / "src")["OPENBLAS_NUM_THREADS"],
-        # Set, every process compiles qsatkit's modules from source.
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-    }
 
 
 def measure(trees: dict, runs: int, importtime_runs: int):
@@ -177,8 +140,8 @@ def measure(trees: dict, runs: int, importtime_runs: int):
         cases = {}
         for case, runs_of_case in samples[tree].items():
             cases[case] = {
-                "wall_ms": spread([r["wall_s"] for r in runs_of_case]),
-                "import_ms": spread([r["import_s"] for r in runs_of_case]),
+                "wall_ms": spread([r["wall_s"] for r in runs_of_case], 3, scale=1e3),
+                "import_ms": spread([r["import_s"] for r in runs_of_case], 3, scale=1e3),
                 "exit": sorted({r["exit"] for r in runs_of_case}),
                 "loads_scipy": sorted({r["scipy"] for r in runs_of_case}),
             }
@@ -189,20 +152,12 @@ def measure(trees: dict, runs: int, importtime_runs: int):
     return samples, results
 
 
-def paired(samples) -> dict:
-    """Per case, the checkout's wall time over the baseline's in the same
-    run, the two processes adjacent: median and quartiles of the ratio, and
-    the runs in which the checkout was faster.  The host's slow stretches
-    move both sides of a pair alike."""
-    rows = {}
-    for case in CASES:
-        ratios = [c["wall_s"] / b["wall_s"]
-                  for c, b in zip(samples["checkout"][case], samples["baseline"][case])]
-        rows[case] = {
-            "ratio": spread(ratios, scale=1), "runs": len(ratios),
-            "checkout_faster": sum(r < 1 for r in ratios),
-        }
-    return rows
+def pairs(samples) -> dict:
+    """Per case, ``paired`` over the runs: the checkout's wall time over the
+    baseline's, the two processes adjacent."""
+    return {case: paired([c["wall_s"] for c in samples["checkout"][case]],
+                         [b["wall_s"] for b in samples["baseline"][case]], 3, count="runs")
+            for case in CASES}
 
 
 def check(cases: dict) -> None:
@@ -240,7 +195,9 @@ def main() -> None:
         medians = [results[tree]["cases"][case]["wall_ms"]["median"] for tree in trees]
         print(f"{case:<26} " + "  ".join(f"{m:>14.1f}" for m in medians))
     report = {
-        "machine": machine(),
+        # Set, every process compiles qsatkit's modules from source.
+        "machine": machine(versions=True, PYTHONDONTWRITEBYTECODE=os.environ.get(
+            "PYTHONDONTWRITEBYTECODE")),
         "settings": {
             "runs": runs, "importtime_runs": importtime_runs,
             "wall": "fresh process, timed around it by the parent, median and quartiles in ms",
@@ -251,7 +208,7 @@ def main() -> None:
         "trees": results,
     }
     if args.baseline:
-        report["paired"] = paired(samples)
+        report["paired"] = pairs(samples)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 
 

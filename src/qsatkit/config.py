@@ -26,11 +26,14 @@ DENSE_CUTOFF = 7
 
 # decide_sat double-checks its verdict against the null-space oracle up to
 # this size.  The oracle keeps its basis on the touched qubits only and takes
-# one SVD per term.  On qsatbench-style instances (k = 2, m = 3n/2 and k = 3,
-# m = 2n; five seeds each; one OpenBLAS thread) it takes 0.5-6.3 ms at
-# n = 8-10, where a 2^n-row basis took 0.6-0.7 s at n = 10 (m = 15, k = 2).
-# Beyond the cutoff, planted instances take 1.9-5.5 ms at n = 11, 2.1-38 ms
-# at n = 12 and 2.6-16 ms at n = 13; frustrated and Haar ones 0.6-11 ms.
+# one SVD per term.  On qsatbench-style planted, frustrated and Haar
+# instances (k = 2, m = 3n/2 and k = 3, m = 2n; five seeds each; one
+# OpenBLAS thread; re-measured with the counted term order of
+# spectral._term_order) it takes 0.13-2.0 ms at n = 8-10, where a 2^n-row
+# basis took 0.6-0.7 s at n = 10 (m = 15, k = 2).  Beyond the cutoff,
+# planted instances take 0.6-2.5 ms at n = 11, 0.7-2.4 ms at n = 12 and
+# 0.9-16 ms at n = 13; Haar ones 0.14-17 ms, and frustrated ones 0.14-0.21 ms,
+# since figure-b's terms leave the basis no columns.
 # The cutoff also marks where the byte limit of decide_sat's null-space
 # witness starts: up to it the basis is unlimited, as the cross-check always
 # was; above it, no array of the basis may exceed WITNESS_MAX_VECTORS x 2^n

@@ -41,6 +41,25 @@ def embed_matrix(num_qubits: int, support, matrix: np.ndarray) -> np.ndarray:
     return full[np.ix_(grouped, grouped)]
 
 
+def loop_layout(num_qubits, support):
+    """``kernels.fiber_layout`` as it was built before its one permutation
+    of the register's indices: a numpy pass per qubit, ORing each bit of the
+    local and the idle configurations into place.  The reference that the
+    plan's arrays must match bit for bit."""
+    n = num_qubits
+    k = len(support)
+    amp = np.arange(1 << k, dtype=np.int64)
+    offsets = np.zeros(1 << k, dtype=np.int64)
+    for j, q in enumerate(support):
+        offsets |= ((amp >> (k - 1 - j)) & 1) << (n - 1 - q)
+    rest = [q for q in range(n) if q not in set(support)]
+    cfg = np.arange(1 << len(rest), dtype=np.int64)
+    bases = np.zeros(1 << len(rest), dtype=np.int64)
+    for j, q in enumerate(rest):
+        bases |= ((cfg >> (len(rest) - 1 - j)) & 1) << (n - 1 - q)
+    return bases, offsets
+
+
 def oracle_matrix(instance: qk.QsatInstance) -> np.ndarray:
     """Assemble the full operator of ``instance`` via ``embed_matrix``."""
     dim = 1 << instance.num_qubits

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,14 @@ import qsatkit as qk
 from qsatkit import kernels
 from qsatkit.kernels import fiber_layout
 
-from conftest import KERNELS, embed_matrix, mixed_instances, oracle_matrix, random_instance
+from conftest import (
+    KERNELS,
+    embed_matrix,
+    loop_layout,
+    mixed_instances,
+    oracle_matrix,
+    random_instance,
+)
 
 # Supports and fiber sizes of rank-1 terms that do not fit 3 qubits.
 MISFITS = [((0, 3), 4), ((1, 1), 4), ((-1,), 2), ((0, 1), 2)]
@@ -50,6 +58,37 @@ class TestFiberLayout:
         bit_q2 = 1 << (4 - 1 - 2)
         bit_q0 = 1 << (4 - 1 - 0)
         assert offsets.tolist() == [0, bit_q0, bit_q2, bit_q2 | bit_q0]
+
+    @pytest.mark.parametrize("num_qubits", range(7))
+    def test_every_ordered_support_is_the_loops_plan(self, num_qubits):
+        # Every support in every order, from () to the whole register.
+        for k in range(num_qubits + 1):
+            for support in itertools.permutations(range(num_qubits), k):
+                _assert_loop_plan(num_qubits, support)
+
+    @pytest.mark.parametrize("num_qubits", range(7, 21))
+    def test_seeded_supports_are_the_loops_plan(self, num_qubits):
+        rng = np.random.Generator(np.random.Philox(key=700 + num_qubits))
+        for k in (1, 2, 3, int(rng.integers(1, num_qubits + 1)), num_qubits):
+            _assert_loop_plan(num_qubits, tuple(int(q) for q in rng.permutation(num_qubits)[:k]))
+
+    @pytest.mark.parametrize("support", [(0, 3), (1, 1), (-1,), (3,), (0, 1, 2, 0)])
+    def test_supports_off_the_register_are_refused(self, support):
+        with pytest.raises(qk.ArgumentError):
+            fiber_layout(3, support)
+
+    @pytest.mark.parametrize("support", [(), (0,), (2,), (1, 2), (2, 1, 0)])
+    def test_plans_own_their_indices(self, support):
+        # Neither array is a view that keeps the register's index grid alive.
+        for array in fiber_layout(3, support):
+            assert array.flags.owndata and array.flags.c_contiguous
+
+
+def _assert_loop_plan(num_qubits, support):
+    """fiber_layout's arrays are the per-qubit loop's, dtype and all."""
+    for got, want in zip(fiber_layout(num_qubits, support), loop_layout(num_qubits, support)):
+        assert got.dtype == want.dtype and got.shape == want.shape, (num_qubits, support)
+        assert np.array_equal(got, want), (num_qubits, support)
 
 
 class TestApplier:
@@ -202,7 +241,8 @@ class TestApplier:
             assert callable(getattr(_sparsetools, name))
 
     def test_backend_name_reports_selection(self):
-        assert qk.backend_name() == "pure-python"
+        # The products run in scipy's compiled CSR/CSC loops, not in Python.
+        assert qk.backend_name() == "scipy-sparsetools"
 
 
 class TestConvenience:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 from dataclasses import replace
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from conftest import (
     KERNELS,
     embed_matrix,
     linked_figure_b,
+    loop_layout,
     mixed_instances,
     near_identity_pair,
     oracle_lambda0,
@@ -815,6 +818,163 @@ class TestNullspace:
         monkeypatch.setattr(qk.config, "physical_memory", lambda: 16)
         with pytest.raises(qk.CapacityError):
             qk.common_nullspace_dim(inst)
+
+
+def _min_scan_order(supports):
+    """The term order of ``_local_nullspace_basis`` as it was chosen before
+    ``_term_order``: a scan of every pending support against the touched
+    qubits at each step, the first of the fewest new qubits."""
+    touched, pending = [], list(range(len(supports)))
+    while pending:
+        j = pending.pop(min(
+            range(len(pending)),
+            key=lambda i: sum(q not in touched for q in supports[pending[i]]),
+        ))
+        touched += [q for q in supports[j] if q not in touched]
+        yield j
+
+
+def _bincount_null_directions(stack, max_bytes=None):
+    """``_null_directions`` as it counted before, with numpy's bincount: the
+    directions, and a mask of the agreeing matrices even when all agree."""
+    _, rows, cols = stack.shape
+    wide = rows < cols
+    spectral._refuse_above(max_bytes, rows + cols if wide else rows, cols, "SVD")
+    _, sing, vh = np.linalg.svd(stack, full_matrices=wide)
+    cuts = (sing > qk.config.SINGULAR_VALUE_TOL).sum(axis=1)
+    cut = np.bincount(cuts).argmax()
+    agree = cuts == cut
+    if not agree.all():
+        vh = vh[agree]
+    return vh[:, cut:].conj().swapaxes(1, 2), agree
+
+
+def _gather_energies(num_qubits, supports, actions, states):
+    """``_energies`` one term at a time, on the per-qubit loop's plans: the
+    formula the batched energies must match bit for bit."""
+    energy = np.zeros(len(states))
+    for support, action in zip(supports, actions):
+        bases, offsets = loop_layout(num_qubits, support)
+        image = states[:, bases[:, None] + offsets] @ action.swapaxes(1, 2)
+        energy += (image.real ** 2 + image.imag ** 2).sum(axis=(1, 2))
+    return energy
+
+
+def _qsatbench_population(inputs):
+    """126 instances from qsatbench's generators (``inputs``, the module
+    ``qsatbench/inputs.py``), 14 at each n = 3-11: planted (k = 2, 3;
+    m = n, 3n/2, 2n), frustrated (k = 2, 3; m = n + 2 or 5, 2n) and Haar
+    (k = 2, 3; m = n/2 or 1, 2n)."""
+    out = []
+    for n in range(3, 12):
+        gen = inputs.rng(20131021, 33, n)
+        for k in (2, 3):
+            specs = [inputs.planted_spec(n, m, k, gen) for m in (n, 3 * n // 2, 2 * n)]
+            specs += [inputs.frustrated_spec(n, m, k, gen) for m in (max(n + 2, 5), 2 * n)]
+            specs += [inputs.haar_spec(n, m, k, gen) for m in (max(1, n // 2), 2 * n)]
+            out += [qk.QsatInstance(n, [qk.RankOneTerm(s, a) for s, a in terms])
+                    for n, terms in specs]
+    return out
+
+
+class TestWitnessIdentity:
+    """The witness's counted term order, its batched energies and its
+    counting of zero singular values leave every bit of the code they
+    replaced, which the reference copies above keep."""
+
+    def test_term_order_is_the_min_scan_order(self):
+        rng = np.random.Generator(np.random.Philox(key=33))
+        for _ in range(600):
+            n = int(rng.integers(1, 12))
+            supports = [tuple(int(q) for q in rng.permutation(n)[:int(rng.integers(0, 5))])
+                        for _ in range(int(rng.integers(0, 25)))]
+            # Repeated supports, and the empty ones _pin leaves.
+            supports += [supports[int(j)] for j in rng.integers(0, len(supports) or 1,
+                                                                size=3 if supports else 0)]
+            supports += [()] * int(rng.integers(0, 3))
+            supports = [supports[int(j)] for j in rng.permutation(len(supports))]
+            assert list(spectral._term_order(supports)) == list(_min_scan_order(supports))
+
+    def test_term_order_of_pinned_supports(self, figure_b):
+        supports, actions = figure_b.supports(), _actions(figure_b.terms)
+        for fixed in ({0: 1}, {0: 0, 2: 1}, {1: 1, 2: 0}):
+            pinned = spectral._pin(3, supports, actions, fixed)[1]
+            assert () in pinned or len(fixed) == 1
+            assert list(spectral._term_order(pinned)) == list(_min_scan_order(pinned))
+
+    @pytest.mark.parametrize("num_qubits, count", [(3, 1), (5, 4), (8, 1), (12, 5), (17, 1)])
+    def test_energies_are_the_gather_formula_bit_for_bit(self, num_qubits, count):
+        # Mixed localities, ranks and layouts; (12, 5) and (17, 1) gather in
+        # batches of 3 and 1 terms.
+        rng = np.random.Generator(np.random.Philox(key=34 + num_qubits))
+        supports, actions = [], []
+        for _ in range(12):
+            k = int(rng.integers(0, min(num_qubits, 4) + 1))
+            rank = 1 if rng.random() < 0.6 else int(rng.integers(1, (1 << k) + 1))
+            shape = (count, 1 << k, rank)
+            action = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            actions.append(action.swapaxes(1, 2) if rng.random() < 0.5
+                           else np.ascontiguousarray(action.swapaxes(1, 2)))
+            supports.append(tuple(int(q) for q in rng.permutation(num_qubits)[:k]))
+        shape = (count, 1 << num_qubits)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = spectral._energies(num_qubits, supports, actions, states)
+        want = _gather_energies(num_qubits, supports, actions, states)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ranks", [(2,), (2, 2, 3), (3, 2, 3, 2), (1, 2, 2, 1, 3), (4, 0, 4)])
+    @pytest.mark.parametrize("shape", [(3, 4), (6, 4)], ids=["wide", "tall"])
+    def test_null_directions_count_as_the_bincount(self, ranks, shape):
+        # Ties go to the smaller count, as np.bincount's argmax.
+        rng = np.random.Generator(np.random.Philox(key=35))
+        rows, cols = shape
+        stack = np.stack([
+            (rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))).astype(complex)
+            for rank in ranks
+        ])
+        directions, agree = _null_directions(stack)
+        want, mask = _bincount_null_directions(stack)
+        assert directions.tobytes() == want.tobytes() and directions.shape == want.shape
+        assert (agree is None) == mask.all()
+        assert agree is None or np.array_equal(agree, mask)
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_identity_kron_is_einsums_bit_for_bit(self, size):
+        # Negative zeros too: einsum's products leave every zero +0.
+        rng = np.random.Generator(np.random.Philox(key=36))
+        basis = rng.standard_normal((3, 16, 5)) + 1j * rng.standard_normal((3, 16, 5))
+        for part in (basis.real, basis.imag):
+            part[rng.random(part.shape) < 0.3] = -0.0
+            part[rng.random(part.shape) < 0.1] = 0.0
+        want = spectral._kron(basis, np.eye(size)[None])
+        got = spectral._identity_kron(basis, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_verdicts_are_the_replaced_codes_bit_for_bit(self, monkeypatch):
+        # Tag, repr(lambda0), dimension and method of 350 verdicts: "auto"
+        # and "krylov" at n = 3-11, "dense" up to n = 9.
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "qsatbench")
+        population = _qsatbench_population(importlib.import_module("inputs"))
+
+        def verdicts():
+            out = []
+            for inst in population:
+                for method in ("auto", "dense", "krylov"):
+                    if method != "dense" or inst.num_qubits <= 9:
+                        v = qk.decide_sat(inst, method=method)
+                        out.append((v.tag, repr(v.lambda0), v.nullspace_dim, v.method))
+            return out
+
+        new = verdicts()
+        monkeypatch.setattr(kernels, "fiber_layout", loop_layout)
+        monkeypatch.setattr(spectral, "_term_order", _min_scan_order)
+        monkeypatch.setattr(spectral, "_null_directions", _bincount_null_directions)
+        monkeypatch.setattr(spectral, "_energies", _gather_energies)
+        monkeypatch.setattr(spectral, "_identity_kron",
+                            lambda basis, size: spectral._kron(basis, np.eye(size)[None]))
+        assert len(new) == 350
+        assert new == verdicts()
+        assert sum(v[3] == "nullspace" for v in new) > 60
 
 
 class TestDecideSat:
